@@ -123,7 +123,6 @@ def _build_state(cfg, nranks, world, rank):
 def _solve(cfg, hier, lv, b, world, rank, mode, tol, max_iters, tally=None):
     n = lv.A_hi.n_rows
     x0 = np.zeros(n)
-    assert not np.any(x0), "solver repetitions must start from a zero guess"
 
     def precond(r):
         return hier.apply(r, tally)
@@ -286,13 +285,12 @@ def run_benchmark(cfg):
 
 
 def dump_matrix(cfg, path):
-    """Write rank 0's local block (natural ordering, global ids) to ``path``."""
+    """Write the whole global operator (every rank's rows) to ``path``."""
     gp = GlobalProblem.from_local(cfg.local_nx, cfg.local_ny, cfg.local_nz,
                                   cfg.ranks)
-    dom = gp.domain(0)
-    A = generate_matrix(dom)
-    global_rows = A.col_global[np.arange(A.n_rows), A.diag_pos]
-    write_matrix_market(path, A, global_rows, gp.n_global)
+    whole = GlobalProblem.from_local(gp.nx, gp.ny, gp.nz, 1)
+    A = generate_matrix(whole.domain(0))
+    write_matrix_market(path, A, np.arange(A.n_rows), gp.n_global)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -328,7 +326,7 @@ def _build_parser():
     p.add_argument("--report-path", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
-                   help="write rank 0's matrix in Matrix Market form")
+                   help="write the global matrix in Matrix Market form")
     return p
 
 

@@ -2,6 +2,8 @@
 
 Rows that share no local coupling may relax simultaneously, so we partition
 each rank's rows into color classes and reorder the system color by color.
+Both strategies are one vectorized Jones-Plassmann routine: first-fit greedy
+in ascending row order is Jones-Plassmann with the fixed priority -index.
 Couplings into neighbor ranks are ignored here: each subdomain is colored
 on its own, without communication.
 """
@@ -22,55 +24,60 @@ class Coloring:
     iperm: np.ndarray          # old row -> new row
 
 
-def _local_adjacency(A):
-    """Per-row arrays of locally-coupled row indices (halo/padding excluded)."""
+def _neighbors(A):
+    """n x width locally coupled rows; halo, padding and diagonal slots hold n."""
     n = A.n_rows
-    adj = []
-    for i in range(n):
-        cols = A.col_idx[i, :A.row_nnz[i]]
-        local = cols[(cols >= 0) & (cols < n) & (cols != i)]
-        adj.append(local)
-    return adj
+    cols = A.col_idx
+    return np.where((cols >= 0) & (cols < n) & (cols != np.arange(n)[:, None]),
+                    cols, n)
+
+
+def _jones_plassmann(nb, rng=None):
+    """Color per row by Jones-Plassmann rounds over the symmetric pattern ``nb``.
+
+    A round takes every uncolored row whose key (w[i], i) beats each uncolored
+    neighbor's; each row of that independent set takes the lowest color free
+    of its colored neighbors, found from a bitmask (colors <= degree + 1).
+    w is -i without ``rng``, else ``rng.random(n)`` drawn every round.
+    """
+    n = len(nb)
+    bits = np.zeros(n + 1, dtype=np.int64)   # 1 << color, 0 while uncolored
+    key = np.full(n + 1, -np.inf)            # w of uncolored rows, else -inf
+    cand = np.arange(n)
+    if rng is None:
+        key[:n] = -cand
+    while cand.size:
+        if rng is not None:
+            key[cand] = rng.random(n)[cand]
+        nbc = nb[cand]
+        kn, ki = key[nbc], key[cand, None]
+        beats = (kn < ki) | ((kn == ki) & (nbc < cand[:, None]))
+        sel = cand[beats.all(axis=1)]
+        used = np.bitwise_or.reduce(bits[nb[sel]], axis=1)
+        bits[sel] = ~used & (used + 1)       # lowest clear bit
+        key[sel] = -np.inf
+        if rng is None:   # fixed w: only rows next to ``sel`` can turn ready
+            ring = nb[sel].ravel()
+            cand = np.unique(ring[key[ring] > -np.inf])
+        else:
+            cand = np.flatnonzero(key[:n] > -np.inf)
+    return (np.frexp(bits[:n])[1] - 1).astype(np.int32)
 
 
 def color(A, strategy="greedy", seed=0):
-    """Color the local rows of ``A``.
+    """Color the local rows of ``A`` with one Jones-Plassmann routine.
 
-    greedy: first-fit in ascending row order; deterministic, ignores the seed.
-    jpl:    random-weight independent-set rounds (Jones-Plassmann-Luby style),
-            seeded; each selected row takes the smallest color its already
-            colored neighbors have not used, which bounds the color count by
-            the maximum degree plus one.
+    greedy: fixed priority -row index, identical to first-fit greedy in
+            ascending row order; deterministic, ignores the seed.
+    jpl:    weights redrawn each round from the seeded stream (Luby style).
+    Each row takes the smallest color its colored neighbors have not used,
+    which bounds the color count by the maximum degree plus one.
     """
     n = A.n_rows
-    adj = _local_adjacency(A)
-    colors = np.full(n, -1, dtype=np.int32)
-
-    if strategy == "greedy":
-        for i in range(n):
-            used = {colors[j] for j in adj[i] if colors[j] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            colors[i] = c
-    elif strategy == "jpl":
-        rng = np.random.default_rng(seed)
-        remaining = set(range(n))
-        while remaining:
-            w = rng.random(n)
-            selected = [i for i in remaining
-                        if all((w[i], i) > (w[j], j)
-                               for j in adj[i] if j in remaining)]
-            for i in selected:
-                used = {colors[j] for j in adj[i] if colors[j] >= 0}
-                c = 0
-                while c in used:
-                    c += 1
-                colors[i] = c
-            remaining.difference_update(selected)
-    else:
+    if strategy not in ("greedy", "jpl"):
         raise ValueError(f"unknown coloring strategy: {strategy!r}")
-
+    colors = _jones_plassmann(_neighbors(A), np.random.default_rng(seed)
+                              if strategy == "jpl" else None)
     num_colors = int(colors.max()) + 1 if n else 0
     counts = np.bincount(colors, minlength=num_colors)
     offsets = np.zeros(num_colors + 1, dtype=np.int64)
@@ -82,20 +89,10 @@ def color(A, strategy="greedy", seed=0):
                     perm=perm, iperm=iperm)
 
 
-def identity_coloring(n):
-    """Single-color trivial ordering (used by tests and degenerate cases)."""
-    return Coloring(color=np.zeros(n, dtype=np.int32), num_colors=1,
-                    color_offsets=np.array([0, n], dtype=np.int64),
-                    perm=np.arange(n), iperm=np.arange(n))
-
-
 def check_coloring(A, coloring):
     """True iff no two locally coupled rows share a color."""
-    for i, neighbors in enumerate(_local_adjacency(A)):
-        ci = coloring.color[i]
-        if any(coloring.color[j] == ci for j in neighbors):
-            return False
-    return True
+    c = np.append(coloring.color, -1)    # the sentinel n matches no color
+    return not np.any(c[_neighbors(A)] == c[:-1, None])
 
 
 def permute_system(A, vectors, coloring):

@@ -53,6 +53,7 @@ class GmresWorkspace:
     s: np.ndarray
     rho0: float = 0.0
     tol: float = 0.0
+    k: int = 0                  # iterations of the last cycle
 
     @classmethod
     def allocate(cls, n, m, dtype):
@@ -207,8 +208,8 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     own precision (None means identity).  Returns a SolveResult whose
     ``boundary_pairs`` hold (recurrence norm, true norm) at each restart.
     With ``keep_basis`` its ``workspace`` holds the last cycle's basis in
-    ``Q[:k+1]`` for that cycle's k iterations; rows past that may be stale
-    rows from earlier cycles.
+    ``Q[:k+1]``, k = ``workspace.k`` being that cycle's iteration count;
+    rows past that may be stale rows from earlier cycles.
     """
     if mode not in ("double", "mixed"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -303,6 +304,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
                 _assert_replicated(world, rank, ws)
             k += 1
             total += 1
+        ws.k = k
 
         if k > 0:
             yk = _back_substitute(ws.H, ws.t, k)

@@ -220,6 +220,57 @@ def best_factor(p):
     return min(factor_triples(p), key=lambda t: (t[2] / t[0], t))
 
 
+def local_pattern(A):
+    """Dense 0/1 pattern of an ELL matrix's owned couplings (halo dropped)."""
+    n = A.n_rows
+    D = np.zeros((n, n))
+    for i in range(n):
+        for s in range(int(A.row_nnz[i])):
+            c = int(A.col_idx[i, s])
+            if 0 <= c < n:
+                D[i, c] = 1.0
+    return D
+
+
+def jpl_color_sequential(A, seed):
+    """Row-by-row Jones-Plassmann-Luby coloring over per-row neighbor lists.
+
+    Each round draws ``rng.random(n)`` and selects every remaining row whose
+    key (w[i], i) beats that of each remaining locally coupled row; each
+    selected row then takes the smallest color its colored neighbors lack.
+    """
+    n = A.n_rows
+    adj = []
+    for i in range(n):
+        cols = A.col_idx[i, :A.row_nnz[i]]
+        adj.append(cols[(cols >= 0) & (cols < n) & (cols != i)])
+    colors = np.full(n, -1, dtype=np.int32)
+    rng = np.random.default_rng(seed)
+    remaining = set(range(n))
+    while remaining:
+        w = rng.random(n)
+        selected = [i for i in remaining
+                    if all((w[i], i) > (w[j], j)
+                           for j in adj[i] if j in remaining)]
+        for i in selected:
+            used = {colors[j] for j in adj[i] if colors[j] >= 0}
+            c = 0
+            while c in used:
+                c += 1
+            colors[i] = c
+        remaining.difference_update(selected)
+    return colors
+
+
+def identity_coloring(n):
+    """Single-color trivial ordering (a fixture; invalid for coupled rows)."""
+    from mxpbench.coloring import Coloring
+
+    return Coloring(color=np.zeros(n, dtype=np.int32), num_colors=1,
+                    color_offsets=np.array([0, n], dtype=np.int64),
+                    perm=np.arange(n), iperm=np.arange(n))
+
+
 def greedy_color_dense(D):
     """First-fit greedy coloring of a dense symmetric pattern, row order."""
     n = D.shape[0]

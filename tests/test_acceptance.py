@@ -204,10 +204,8 @@ def test_criterion_4_basis_orthogonality():
 
 
 def last_cycle_basis(ws):
-    """(k, Q[:k+1]) for the last cycle: H is zeroed at each cycle start and
-    every completed iteration leaves a non-zero pivot on its diagonal."""
-    k = int(np.count_nonzero(np.diag(ws.H)))
-    return k, ws.Q[:k + 1].astype(np.float64)
+    """(k, Q[:k+1]) for the last cycle, k being its iteration count."""
+    return ws.k, ws.Q[:ws.k + 1].astype(np.float64)
 
 
 # -- criterion 5 ---------------------------------------------------------------

@@ -218,10 +218,12 @@ def test_cli_unknown_flag_exits_two():
 
 
 def test_cli_dump_matrix(tmp_path):
-    path = tmp_path / "stencil.mtx"
-    code = main(_cli("--dump-matrix", str(path)))
-    assert code == 0
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    assert lines[1].split() == ["512", "512", "10648"]
-    assert len(lines) == 2 + 10648
+    # With 2 ranks the file holds the whole 8x8x16 operator, not rank 0's rows.
+    for ranks, n, nnz in (("1", "512", 10648), ("2", "1024", 22264)):
+        path = tmp_path / f"stencil{ranks}.mtx"
+        code = main(_cli("--ranks", ranks, "--dump-matrix", str(path)))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("%%MatrixMarket")
+        assert lines[1].split() == [n, n, str(nnz)]
+        assert len(lines) == 2 + nnz

@@ -2,13 +2,13 @@
 
 import numpy as np
 
-from mxpbench.coloring import (check_coloring, color, identity_coloring,
-                               permute_system)
+from mxpbench.coloring import check_coloring, color, permute_system
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import generate_matrix, generate_rhs
 
 from _oracles import (dense_stencil_2d, dense_stencil_3d, ell_from_dense,
-                      ell_to_dense)
+                      ell_to_dense, greedy_color_dense, identity_coloring,
+                      jpl_color_sequential, local_pattern)
 
 
 def _stencil_matrix(nx, ny, nz, ranks=1, rank=0):
@@ -32,11 +32,26 @@ def test_greedy_uses_4_colors_on_2d_stencil():
         assert check_coloring(A, c)
 
 
+def _rank_blocks():
+    """Each rank block of an 8-rank 8^3 split (blocks hold UNRESOLVED halo)."""
+    return [_stencil_matrix(8, 8, 8, ranks=8, rank=r) for r in range(8)]
+
+
 def test_greedy_matches_first_fit_oracle():
-    from _oracles import greedy_color_dense
     A = _stencil_matrix(4, 4, 4)
     c = color(A, "greedy")
     assert np.array_equal(c.color, greedy_color_dense(dense_stencil_3d(4, 4, 4)))
+    for A in [_stencil_matrix(4, 6, 8)] + _rank_blocks():
+        c = color(A, "greedy")
+        assert np.array_equal(c.color, greedy_color_dense(local_pattern(A)))
+
+
+def test_jpl_matches_sequential_oracle():
+    for A in [_stencil_matrix(4, 4, 4), _stencil_matrix(16, 16, 16)] \
+            + _rank_blocks():
+        for seed in range(20):
+            c = color(A, "jpl", seed=seed)
+            assert np.array_equal(c.color, jpl_color_sequential(A, seed))
 
 
 def test_jpl_valid_for_100_seeds():
