@@ -17,6 +17,7 @@ min(1, n_d / n_ir).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -26,8 +27,7 @@ import numpy as np
 from .comm import ProtocolError, RankWorld, TopologyError, reduce_sum
 from .geometry import CoarseningError, GlobalProblem
 from .krylov import gmres_solve
-from .metrics import MOTIFS, Tally, emit_report, gflops, penalty_factor, \
-    sum_motif_dicts
+from .metrics import MOTIFS, Tally, gflops, penalty_factor, sum_motif_dicts
 from .multigrid import build_hierarchy
 from .problem import generate_matrix, generate_rhs, write_matrix_market
 from .smoother import SmootherWorkspace
@@ -354,7 +354,7 @@ def main(argv=None):
         print(f"protocol error: {exc}", file=sys.stderr)
         return 4
 
-    text = emit_report(report)
+    text = json.dumps(report, indent=2)
     if args.report_path:
         with open(args.report_path, "w") as fh:
             fh.write(text + "\n")

@@ -91,9 +91,6 @@ class RankWorld:
             raise ProtocolError(
                 f"collective epoch mismatch: {self._epochs}")
 
-    def barrier(self, rank):
-        self._sync()
-
     def all_reduce_sum(self, rank, value):
         """Sum a scalar or array over all ranks, in ascending rank order."""
         self._slots[rank] = value
@@ -236,27 +233,8 @@ def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
     return plan
 
 
-def exchange(v, plan, world=None, rank=0):
-    """Fill v's halo tail with the neighbors' boundary values (blocking)."""
-    if world is None or not plan.neighbors:
-        return
-    for nb in plan.neighbors:
-        world.send(rank, nb, v[plan.send_rows[nb]])
-    for nb in plan.neighbors:
-        buf = world.recv(rank, nb)
-        if len(buf) != plan.recv_counts[nb]:
-            raise ProtocolError(
-                f"halo exchange count mismatch from rank {nb}: "
-                f"got {len(buf)}, expected {plan.recv_counts[nb]}")
-        v[plan.recv_slices[nb]] = buf
-
-
-def exchange_overlapped(v, plan, world, rank, interior_work):
-    """Post sends, run ``interior_work()``, then receive.
-
-    The caller guarantees interior_work reads no halo slots and writes no row
-    in a send list, so the result is bitwise identical to exchange-then-work.
-    """
+def _swap_halo(v, plan, world, rank, interior_work=lambda: None):
+    """Send v's boundary rows, run ``interior_work()``, receive v's halo tail."""
     if world is None or not plan.neighbors:
         return interior_work()
     for nb in plan.neighbors:
@@ -270,6 +248,20 @@ def exchange_overlapped(v, plan, world, rank, interior_work):
                 f"got {len(buf)}, expected {plan.recv_counts[nb]}")
         v[plan.recv_slices[nb]] = buf
     return result
+
+
+def exchange(v, plan, world=None, rank=0):
+    """Fill v's halo tail with the neighbors' boundary values (blocking)."""
+    _swap_halo(v, plan, world, rank)
+
+
+def exchange_overlapped(v, plan, world, rank, interior_work):
+    """Post sends, run ``interior_work()``, then receive; returns its result.
+
+    The caller guarantees interior_work reads no halo slots and writes no row
+    in a send list, so the result is bitwise identical to exchange-then-work.
+    """
+    return _swap_halo(v, plan, world, rank, interior_work)
 
 
 def reduce_sum(world, rank, value):

@@ -25,7 +25,6 @@ the index arrays do not shrink.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 
@@ -150,12 +149,3 @@ def sum_motif_dicts(dicts):
         for m in MOTIFS:
             out[m] += d[m]
     return out
-
-
-def emit_report(report):
-    """Serialize the report tree; stable field names are the contract."""
-    return json.dumps(report, indent=2)
-
-
-def parse_report(text):
-    return json.loads(text)

@@ -21,7 +21,7 @@ import numpy as np
 from .coloring import color as color_rows
 from .coloring import permute_system
 from .comm import build_halo_plan, exchange
-from .problem import generate_matrix, to_low_precision
+from .problem import generate_matrix, row_dot, to_low_precision
 from .smoother import SmootherWorkspace, forward_gs_sweep
 
 
@@ -99,11 +99,6 @@ def _injection_map(coarse_dom, fine_dom, coarse_perm, fine_iperm):
     return fine_iperm[f_nat[coarse_perm]]
 
 
-def restrict_inject(v_f, f2c):
-    """Coarse vector of the fine values at injection points."""
-    return v_f[f2c].copy()
-
-
 def fused_residual_restrict(A_f, b_f, x_f, f2c, out=None, tally=None):
     """r_c[i] = b_f[f2c(i)] - (A_f @ x_f)[f2c(i)], computed only at those rows.
 
@@ -112,19 +107,14 @@ def fused_residual_restrict(A_f, b_f, x_f, f2c, out=None, tally=None):
     """
     timer = tally.timed("Restriction") if tally is not None else nullcontext()
     with timer:
-        rows = f2c
-        vals = A_f.values[rows]
-        cols = A_f.spmv_cols()[rows]
-        acc = np.zeros(len(rows), dtype=x_f.dtype)
-        for s in range(A_f.width):
-            acc += vals[:, s] * x_f[cols[:, s]]
-        r_c = b_f[rows] - acc
+        y = row_dot(A_f.values[f2c], A_f.spmv_cols()[f2c], x_f)
+        r_c = b_f[f2c] - y
         if out is not None:
             out[:] = r_c
             r_c = out
     if tally is not None:
         tally.add("restrict_fused", A_f.dtype,
-                  nnz=int(A_f.row_nnz[rows].sum()), n_c=len(rows))
+                  nnz=int(A_f.row_nnz[f2c].sum()), n_c=len(f2c))
     return r_c
 
 

@@ -76,13 +76,24 @@ class EllMatrix:
         return cache
 
     def halo_row_split(self):
-        """(rows without halo columns, rows with halo columns)."""
-        cache = self._caches.get("halo_split")
-        if cache is None:
-            has_halo = (self.col_idx >= self.n_rows).any(axis=1)
-            cache = (np.flatnonzero(~has_halo), np.flatnonzero(has_halo))
-            self._caches["halo_split"] = cache
-        return cache
+        """(rows without halo columns, rows with halo columns).
+
+        Not cached: each caller packs its own row subsets once and caches those.
+        """
+        has_halo = self.col_idx.max(axis=1) >= self.n_rows  # no n x 27 temporary
+        return np.flatnonzero(~has_halo), np.flatnonzero(has_halo)
+
+
+def row_dot(vals, cols, x):
+    """Per-row sum of ``vals[:, s] * x[cols[:, s]]``, slots in ascending order.
+
+    The one ELL accumulation kernel.  The accumulator has x's dtype, and the
+    slot order is fixed, so any subset of rows gives each row the same bits.
+    """
+    acc = np.zeros(vals.shape[0], dtype=x.dtype)
+    for s in range(vals.shape[1]):
+        acc += vals[:, s] * x[cols[:, s]]
+    return acc
 
 
 def generate_matrix(domain):
@@ -145,8 +156,6 @@ def generate_matrix(domain):
 @dataclass
 class ProblemVectors:
     b: np.ndarray
-    x_exact: np.ndarray
-    x: np.ndarray
 
 
 def generate_rhs(A):
@@ -156,10 +165,7 @@ def generate_rhs(A):
     b is just the row sums: zero for interior rows, positive on the global
     boundary.  Computed in double precision; exact for these integer values.
     """
-    b = A.values.sum(axis=1)
-    return ProblemVectors(b=b,
-                          x_exact=np.ones(A.n_rows),
-                          x=np.zeros(A.n_cols_extended))
+    return ProblemVectors(b=A.values.sum(axis=1))
 
 
 def to_low_precision(A):
@@ -175,39 +181,17 @@ def to_low_precision(A):
                      nnz_total=A.nnz_total, n_cols_extended=A.n_cols_extended)
 
 
-def structure_signature(A):
-    """Hash of the structural arrays; equal for high/low precision twins."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for arr in (A.col_global, A.row_nnz, A.diag_pos):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(f"{A.n_rows}:{A.width}:{A.nnz_total}".encode())
-    return h.hexdigest()
-
-
-def _format_value(v):
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
 def write_matrix_market(path, A, global_rows, n_global):
     """Dump local rows as MatrixMarket coordinate triplets (1-based, global ids).
 
     ``global_rows[i]`` is the global id of local row i in A's current row
-    order.  Multi-rank callers gather the per-rank sections and concatenate.
+    order.
     """
-    lines = matrix_market_lines(A, global_rows)
-    with open(path, "w") as f:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{n_global} {n_global} {A.nnz_total}\n")
-        f.writelines(lines)
-
-
-def matrix_market_lines(A, global_rows):
-    lines = []
-    for i in range(A.n_rows):
-        r = int(global_rows[i]) + 1
-        for s in range(int(A.row_nnz[i])):
-            lines.append(f"{r} {int(A.col_global[i, s]) + 1} "
-                         f"{_format_value(A.values[i, s])}\n")
-    return lines
+    stored = np.arange(A.width) < A.row_nnz[:, None]
+    triplets = np.column_stack((
+        np.repeat(np.asarray(global_rows) + 1, A.row_nnz),
+        A.col_global[stored] + 1,
+        A.values[stored]))
+    np.savetxt(path, triplets, fmt="%d %d %.17g", comments="",
+               header="%%MatrixMarket matrix coordinate real general\n"
+                      f"{n_global} {n_global} {A.nnz_total}")

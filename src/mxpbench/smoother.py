@@ -17,7 +17,10 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .comm import exchange, exchange_overlapped
+# ``exchange`` stays bound here, unused: perfbench/test_perfbench.py checks
+# that its tracer wraps ``smoother.exchange``.
+from .comm import exchange, exchange_overlapped  # noqa: F401
+from .problem import row_dot
 
 
 class SingularDiagonal(Exception):
@@ -41,75 +44,52 @@ def _sweep_cache(A, coloring):
     cached = A._caches.get("gs")
     if cached is not None and cached[0] is coloring:
         return cached[1]
-    offvals, safecols, diag = A.offdiag_view()
+    offvals, cols, diag = A.offdiag_view()
     if np.any(diag == 0):
         raise SingularDiagonal("zero diagonal entry in smoother input")
-    start0, end0 = int(coloring.color_offsets[0]), int(coloring.color_offsets[1])
-    has_halo = (A.col_idx[start0:end0] >= A.n_rows).any(axis=1)
-    rows_nh = np.flatnonzero(~has_halo) + start0
-    rows_h = np.flatnonzero(has_halo) + start0
-    data = {
-        "offvals": offvals,
-        "cols": safecols,
-        "diag": diag,
-        "c0_interior": (rows_nh, offvals[rows_nh], safecols[rows_nh], diag[rows_nh]),
-        "c0_boundary": (rows_h, offvals[rows_h], safecols[rows_h], diag[rows_h]),
-    }
+    # Color 0 is rows [0, end0); split it into rows without and with halo
+    # columns, packed so the overlapped first color gathers nothing per call.
+    end0 = int(coloring.color_offsets[1])
+    c0 = []
+    for rows in A.halo_row_split():
+        rows = rows[rows < end0]
+        c0.append((rows, offvals[rows], cols[rows], diag[rows]))
+    data = (offvals, cols, diag, c0)
     A._caches["gs"] = (coloring, data)
     return data
 
 
-def _update_block(z, r, offvals, cols, diag, start, end):
-    acc = np.zeros(end - start, dtype=z.dtype)
-    for s in range(offvals.shape[1]):
-        acc += offvals[start:end, s] * z[cols[start:end, s]]
-    z[start:end] = (r[start:end] - acc) / diag[start:end]
-
-
-def _update_rows(z, r, rows, vals, cols, diag):
-    if not len(rows):
-        return
-    acc = np.zeros(len(rows), dtype=z.dtype)
-    for s in range(vals.shape[1]):
-        acc += vals[:, s] * z[cols[:, s]]
-    z[rows] = (r[rows] - acc) / diag
+def _relax(z, r, rows, vals, cols, diag):
+    z[rows] = (r[rows] - row_dot(vals, cols, z)) / diag
 
 
 def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
-                     z_is_zero=False, overlap=True, tally=None):
+                     z_is_zero=False, tally=None):
     """One forward sweep: z_i <- (r_i - sum_{j!=i} a_ij z_j) / a_ii, color by color.
 
     ``z`` must carry the halo tail.  When ``z_is_zero`` the caller asserts the
     iterate (tail included) is all zero, so the halo exchange is skipped.
-    With ``overlap`` the first color's interior rows (those with no halo
-    dependency) are updated while halo messages are in flight; the result is
-    bitwise identical to the blocking path.
+    Otherwise, with neighbors, the first color's rows without halo columns
+    are updated while the halo messages are in flight and its other rows once
+    they land; the result is bitwise that of ``exchange`` followed by a sweep
+    without a world.
     """
-    cache = _sweep_cache(A, coloring)
-    offvals, cols, diag = cache["offvals"], cache["cols"], cache["diag"]
+    offvals, cols, diag, (interior, boundary) = _sweep_cache(A, coloring)
     offsets = coloring.color_offsets
     timer = tally.timed("GS") if tally is not None else nullcontext()
 
     with timer:
-        first_color_done = False
+        first = 0
         if z_is_zero:
             z[:] = 0
         elif world is not None and plan is not None and plan.neighbors:
-            if overlap:
-                rows_nh, v_nh, c_nh, d_nh = cache["c0_interior"]
-                exchange_overlapped(
-                    z, plan, world, rank,
-                    lambda: _update_rows(z, r, rows_nh, v_nh, c_nh, d_nh))
-                rows_h, v_h, c_h, d_h = cache["c0_boundary"]
-                _update_rows(z, r, rows_h, v_h, c_h, d_h)
-                first_color_done = True
-            else:
-                exchange(z, plan, world, rank)
-        for c in range(coloring.num_colors):
-            if c == 0 and first_color_done:
-                continue
-            _update_block(z, r, offvals, cols, diag,
-                          int(offsets[c]), int(offsets[c + 1]))
+            exchange_overlapped(z, plan, world, rank,
+                                lambda: _relax(z, r, *interior))
+            _relax(z, r, *boundary)
+            first = 1
+        for c in range(first, coloring.num_colors):
+            lo, hi = int(offsets[c]), int(offsets[c + 1])
+            _relax(z, r, slice(lo, hi), offvals[lo:hi], cols[lo:hi],
+                   diag[lo:hi])
     if tally is not None:
         tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)
-

@@ -197,6 +197,11 @@ def seq_gemv_update(Q, y):
     return x, flops
 
 
+def restrict_inject(v_f, f2c):
+    """Coarse vector of the fine values at injection points."""
+    return v_f[f2c].copy()
+
+
 # -- misc oracles ---------------------------------------------------------------
 
 
@@ -232,23 +237,26 @@ def local_pattern(A):
     return D
 
 
-def jpl_color_sequential(A, seed):
-    """Row-by-row Jones-Plassmann-Luby coloring over per-row neighbor lists.
+def local_adjacency(A):
+    """Per-row lists of locally coupled rows as Python ints (halo dropped)."""
+    n = A.n_rows
+    return [[c for c in A.col_idx[i, :A.row_nnz[i]].tolist()
+             if 0 <= c < n and c != i] for i in range(n)]
+
+
+def jpl_color_sequential(adj, seed):
+    """Row-by-row Jones-Plassmann-Luby coloring over ``local_adjacency`` lists.
 
     Each round draws ``rng.random(n)`` and selects every remaining row whose
     key (w[i], i) beats that of each remaining locally coupled row; each
     selected row then takes the smallest color its colored neighbors lack.
     """
-    n = A.n_rows
-    adj = []
-    for i in range(n):
-        cols = A.col_idx[i, :A.row_nnz[i]]
-        adj.append(cols[(cols >= 0) & (cols < n) & (cols != i)])
-    colors = np.full(n, -1, dtype=np.int32)
+    n = len(adj)
+    colors = [-1] * n
     rng = np.random.default_rng(seed)
     remaining = set(range(n))
     while remaining:
-        w = rng.random(n)
+        w = rng.random(n).tolist()
         selected = [i for i in remaining
                     if all((w[i], i) > (w[j], j)
                            for j in adj[i] if j in remaining)]
@@ -259,7 +267,18 @@ def jpl_color_sequential(A, seed):
                 c += 1
             colors[i] = c
         remaining.difference_update(selected)
-    return colors
+    return np.array(colors, dtype=np.int32)
+
+
+def structure_signature(A):
+    """Hash of the structural arrays; equal for high/low precision twins."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for arr in (A.col_global, A.row_nnz, A.diag_pos):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(f"{A.n_rows}:{A.width}:{A.nnz_total}".encode())
+    return h.hexdigest()
 
 
 def identity_coloring(n):

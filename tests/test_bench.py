@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 import mxpbench.bench as bench
@@ -16,6 +17,8 @@ from mxpbench.bench import (
 )
 from mxpbench.comm import ProtocolError
 from mxpbench.metrics import MOTIFS
+
+from _oracles import dense_stencil_3d
 
 
 def _tiny_cfg(**overrides):
@@ -227,3 +230,9 @@ def test_cli_dump_matrix(tmp_path):
         assert lines[0].startswith("%%MatrixMarket")
         assert lines[1].split() == [n, n, str(nnz)]
         assert len(lines) == 2 + nnz
+    # The single-rank 8^3 file reads back as the dense stencil, exactly.
+    rows, cols, vals = np.loadtxt(tmp_path / "stencil1.mtx", skiprows=2,
+                                  unpack=True)
+    D = np.zeros((512, 512))
+    D[rows.astype(int) - 1, cols.astype(int) - 1] = vals
+    assert np.array_equal(D, dense_stencil_3d(8, 8, 8))

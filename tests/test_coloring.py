@@ -2,13 +2,14 @@
 
 import numpy as np
 
-from mxpbench.coloring import check_coloring, color, permute_system
+from mxpbench.coloring import (_jones_plassmann, _neighbors, check_coloring,
+                               color, permute_system)
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import generate_matrix, generate_rhs
 
 from _oracles import (dense_stencil_2d, dense_stencil_3d, ell_from_dense,
                       ell_to_dense, greedy_color_dense, identity_coloring,
-                      jpl_color_sequential, local_pattern)
+                      jpl_color_sequential, local_adjacency, local_pattern)
 
 
 def _stencil_matrix(nx, ny, nz, ranks=1, rank=0):
@@ -49,9 +50,25 @@ def test_greedy_matches_first_fit_oracle():
 def test_jpl_matches_sequential_oracle():
     for A in [_stencil_matrix(4, 4, 4), _stencil_matrix(16, 16, 16)] \
             + _rank_blocks():
+        adj = local_adjacency(A)
         for seed in range(20):
             c = color(A, "jpl", seed=seed)
-            assert np.array_equal(c.color, jpl_color_sequential(A, seed))
+            assert np.array_equal(c.color, jpl_color_sequential(adj, seed))
+
+
+class _ConstantRng:
+    def random(self, n):
+        return np.full(n, 0.5)
+
+
+def test_jpl_weight_ties_go_to_the_higher_row():
+    # With every weight equal, the key (w[i], i) orders rows by index alone,
+    # so Jones-Plassmann is first-fit greedy in descending row order.
+    for A in [_stencil_matrix(4, 4, 4), _stencil_matrix(4, 6, 8)] \
+            + _rank_blocks()[:2]:
+        D = local_pattern(A)
+        got = _jones_plassmann(_neighbors(A), _ConstantRng())
+        assert np.array_equal(got, greedy_color_dense(D[::-1, ::-1])[::-1])
 
 
 def test_jpl_valid_for_100_seeds():

@@ -57,10 +57,10 @@ def test_gather_collects_in_rank_order():
 
 def test_run_propagates_worker_exception():
     def worker(world, rank):
-        world.barrier(rank)
+        world.gather(rank, rank)
         if rank == 2:
             raise ValueError("rank 2 exploded")
-        world.barrier(rank)   # others left waiting -> abort path
+        world.gather(rank, rank)   # others left waiting -> abort path
         return rank
 
     with pytest.raises(ValueError, match="rank 2 exploded"):

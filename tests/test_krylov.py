@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mxpbench.coloring import color, permute_system
-from mxpbench.comm import RankWorld, build_halo_plan
+from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import (
     BreakdownError,
@@ -52,10 +52,11 @@ def test_spmv_overlapped_matches_blocking_on_eight_ranks():
         rng = np.random.default_rng(100 + rank)
         x = np.zeros(A.n_cols_extended)
         x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
-        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank,
-                      overlap=True)
-        y_block = spmv(A, x.copy(), plan=plan, world=world, rank=rank,
-                       overlap=False)
+        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank)
+        # Blocking reference: a fresh halo, then every row.
+        x_block = x.copy()
+        exchange(x_block, plan, world, rank)
+        y_block = spmv(A, x_block)
         return np.array_equal(y_over, y_block)
 
     world = RankWorld(8)

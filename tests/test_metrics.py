@@ -9,10 +9,8 @@ from mxpbench.metrics import (
     Tally,
     count_bytes,
     count_flops,
-    emit_report,
     gflops,
     kernel_motif,
-    parse_report,
     penalty_factor,
     sum_motif_dicts,
 )
@@ -199,18 +197,3 @@ def test_sum_motif_dicts():
     assert out["SpMV"] == 12
     assert out["GS"] == 2
     assert out["Ortho"] == 0
-
-
-def test_report_round_trip():
-    report = {
-        "config": {"local_nx": 16, "ranks": 8},
-        "validation": {"mode": "standard", "n_d": 16, "n_ir": 20,
-                       "ratio": 0.8, "residual": 4.5e-10},
-        "mxp": {m: {"seconds": 1.0, "flops": 1000, "gflops": 1e-6}
-                for m in MOTIFS},
-        "double": {m: {"seconds": 2.0, "flops": 1000, "gflops": 5e-7}
-                   for m in MOTIFS},
-        "summary": {"raw_gflops": 1.0, "penalty": 0.8,
-                    "penalized_gflops": 0.8, "speedup": 2.0, "reps": 3},
-    }
-    assert parse_report(emit_report(report)) == report

@@ -4,10 +4,9 @@ import numpy as np
 
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import (PAD, UNRESOLVED, generate_matrix, generate_rhs,
-                              matrix_market_lines, structure_signature,
                               to_low_precision, write_matrix_market)
 
-from _oracles import dense_stencil_3d, ell_to_dense
+from _oracles import dense_stencil_3d, ell_to_dense, structure_signature
 
 
 def _single_rank(nx, ny, nz):
@@ -61,8 +60,6 @@ def test_rhs_is_row_sums():
     A = _single_rank(4, 4, 4)
     vecs = generate_rhs(A)
     assert np.array_equal(vecs.b, 27.0 - A.row_nnz)   # 26 - (nnz-1)
-    assert np.array_equal(vecs.x_exact, np.ones(A.n_rows))
-    assert not np.any(vecs.x)
     A16 = _single_rank(16, 16, 16)
     b16 = generate_rhs(A16).b
     assert np.sum(b16 == 0.0) == 14 ** 3   # interior rows balance exactly
@@ -116,7 +113,6 @@ def test_matrix_market_output(tmp_path):
     n, m, nnz = (int(t) for t in lines[1].split())
     assert (n, m, nnz) == (8, 8, 64)          # 2^3 box: all pairs adjacent
     assert len(lines) == 2 + nnz
-    assert len(matrix_market_lines(A, rows)) == nnz
     triplets = [ln.split() for ln in lines[2:]]
     assert all(len(t) == 3 for t in triplets)
     r0, c0, v0 = triplets[0]

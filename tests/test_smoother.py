@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mxpbench.coloring import color, permute_system
-from mxpbench.comm import RankWorld, build_halo_plan
+from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
@@ -100,7 +100,7 @@ def test_overlapped_matches_blocking_on_8_ranks():
     rs = [rng.integers(-10, 11, size=64).astype(float) for _ in range(8)]
     zs = [rng.integers(-5, 6, size=64).astype(float) for _ in range(8)]
 
-    def worker(world, rank, overlap):
+    def worker(world, rank, overlapped):
         dom = gp.domain(rank)
         A = generate_matrix(dom)
         c = color(A, "greedy")
@@ -108,8 +108,12 @@ def test_overlapped_matches_blocking_on_8_ranks():
         plan = build_halo_plan(dom, Ap, world, rank, iperm=c.iperm)
         z = np.zeros(Ap.n_cols_extended)
         z[:64] = zs[rank][c.perm]
-        forward_gs_sweep(Ap, rs[rank][c.perm], z, c, plan=plan, world=world,
-                         rank=rank, overlap=overlap)
+        if overlapped:
+            forward_gs_sweep(Ap, rs[rank][c.perm], z, c, plan=plan,
+                             world=world, rank=rank)
+        else:   # blocking reference: a fresh halo, then every row
+            exchange(z, plan, world, rank)
+            forward_gs_sweep(Ap, rs[rank][c.perm], z, c)
         return z
 
     blocking = RankWorld(8).run(worker, False)
