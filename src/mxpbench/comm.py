@@ -6,9 +6,11 @@ the network.  Global sums are accumulated in ascending rank order on every
 rank, so a run with a fixed rank count is bitwise reproducible; sums across
 DIFFERENT rank counts are not promised to match (documented, not a bug).
 
-Every collective carries an epoch counter; ranks drifting out of step is a
-programming error and surfaces as ProtocolError rather than a hang or silent
-corruption.
+Ranks drifting out of step is a programming error and surfaces as
+ProtocolError rather than a hang or silent corruption: every rank posts the
+kind of collective it called with its value, and a mismatch raises on every
+rank; a rank left waiting for a collective the others skipped raises once
+``_RECV_TIMEOUT`` has passed.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class RankWorld:
         self._recv_seq = {pair: 0 for pair in self._boxes}
         self._barrier = threading.Barrier(nranks)
         self._slots = [None] * nranks
-        self._epochs = [0] * nranks
         self._abort = threading.Event()
 
     # -- point to point ----------------------------------------------------
@@ -81,38 +82,38 @@ class RankWorld:
 
     def _sync(self):
         try:
-            self._barrier.wait()
+            self._barrier.wait(timeout=_RECV_TIMEOUT)
         except threading.BrokenBarrierError:
-            raise ProtocolError("barrier broken (another rank failed)") from None
-
-    def _check_epochs(self, rank):
-        mine = self._epochs[rank]
-        if any(e != mine for e in self._epochs):
+            if self._abort.is_set():
+                raise ProtocolError("barrier broken (another rank failed)") from None
             raise ProtocolError(
-                f"collective epoch mismatch: {self._epochs}")
+                f"collective timed out after {_RECV_TIMEOUT:g} s "
+                "(a rank skipped it)") from None
+
+    def _collect(self, rank, kind, value):
+        """Post (kind, value), wait for every rank, return all values."""
+        self._slots[rank] = (kind, value)
+        self._sync()
+        kinds = [k for k, _ in self._slots]
+        if any(k != kind for k in kinds):
+            raise ProtocolError(f"ranks called different collectives: {kinds}")
+        return [v for _, v in self._slots]
 
     def all_reduce_sum(self, rank, value):
         """Sum a scalar or array over all ranks, in ascending rank order."""
-        self._slots[rank] = value
-        self._sync()
-        self._check_epochs(rank)
-        acc = self._slots[0]
+        vals = self._collect(rank, "all_reduce_sum", value)
+        acc = vals[0]
         acc = acc.copy() if isinstance(acc, np.ndarray) else acc
-        for r in range(1, self.nranks):
-            acc = acc + self._slots[r]
+        for v in vals[1:]:
+            acc = acc + v
         self._sync()
-        self._epochs[rank] += 1
         return acc
 
     def gather(self, rank, value, root=0):
         """Collect every rank's value at ``root`` (list indexed by rank)."""
-        self._slots[rank] = value
+        vals = self._collect(rank, "gather", value)
         self._sync()
-        self._check_epochs(rank)
-        out = list(self._slots) if rank == root else None
-        self._sync()
-        self._epochs[rank] += 1
-        return out
+        return vals if rank == root else None
 
     # -- lifecycle -----------------------------------------------------------
 

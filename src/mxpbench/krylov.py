@@ -55,8 +55,6 @@ class GmresWorkspace:
     t: np.ndarray
     c: np.ndarray
     s: np.ndarray
-    rho0: float = 0.0
-    tol: float = 0.0
     k: int = 0                  # iterations of the last cycle
 
     @classmethod
@@ -76,19 +74,7 @@ class SolveResult:
     relres: float
     converged: bool
     boundary_pairs: list = field(default_factory=list)
-    tally: object = None
     workspace: GmresWorkspace = None
-
-
-def _spmv_split(A):
-    cache = A._caches.get("spmv_split")
-    if cache is None:
-        rows_nh, rows_h = A.halo_row_split()
-        cols = A.spmv_cols()
-        cache = (rows_nh, A.values[rows_nh], cols[rows_nh],
-                 rows_h, A.values[rows_h], cols[rows_h])
-        A._caches["spmv_split"] = cache
-    return cache
 
 
 def spmv(A, x, plan=None, world=None, rank=0, tally=None):
@@ -102,7 +88,7 @@ def spmv(A, x, plan=None, world=None, rank=0, tally=None):
     timer = tally.timed("SpMV") if tally is not None else nullcontext()
     with timer:
         if world is not None and plan is not None and plan.neighbors:
-            rows_nh, v_nh, c_nh, rows_h, v_h, c_h = _spmv_split(A)
+            (rows_nh, v_nh, c_nh), (rows_h, v_h, c_h) = A.halo_packs()
             y = np.zeros(A.n_rows, dtype=x.dtype)
             exchange_overlapped(
                 x, plan, world, rank,
@@ -213,7 +199,6 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     n = A_hi.n_rows
 
     ws = GmresWorkspace.allocate(n, m, dtype)
-    ws.tol = tol
     x_t = np.zeros(A_hi.n_cols_extended)
     if x0 is not None:
         x_t[:n] = x0
@@ -238,10 +223,8 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     with timed("Vector ops"):
         rho0 = float(np.sqrt(reduce_sum(world, rank, b @ b)))
     count("norm", np.float64, n=n)
-    ws.rho0 = rho0
     if rho0 == 0.0:
-        return SolveResult(0, 0, 0.0, True, [], tally,
-                           ws if keep_basis else None)
+        return SolveResult(0, 0, 0.0, True, [], ws if keep_basis else None)
 
     total = 0
     cycles = 0
@@ -321,6 +304,6 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     if x0 is not None:
         x0[:] = x_t[:n]
     return SolveResult(iterations=total, restarts=cycles, relres=relres,
-                       converged=converged, boundary_pairs=pairs, tally=tally,
+                       converged=converged, boundary_pairs=pairs,
                        workspace=ws if keep_basis else None)
 

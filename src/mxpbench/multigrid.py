@@ -102,12 +102,14 @@ def _injection_map(coarse_dom, fine_dom, coarse_perm, fine_iperm):
 def fused_residual_restrict(A_f, b_f, x_f, f2c, out=None, tally=None):
     """r_c[i] = b_f[f2c(i)] - (A_f @ x_f)[f2c(i)], computed only at those rows.
 
-    ``x_f`` must have a fresh halo tail.  Bitwise equal to restricting the
-    full residual because each row accumulates in the same fixed order.
+    ``x_f`` must have a fresh halo tail.  ``A_f`` packs the ``f2c`` rows on
+    the first call and takes no other ``f2c`` array after it.  Bitwise equal
+    to restricting the full residual because each row accumulates in the
+    same fixed order.
     """
     timer = tally.timed("Restriction") if tally is not None else nullcontext()
     with timer:
-        y = row_dot(A_f.values[f2c], A_f.spmv_cols()[f2c], x_f)
+        y = row_dot(*A_f.packed("f2c", f2c), x_f)
         r_c = b_f[f2c] - y
         if out is not None:
             out[:] = r_c

@@ -28,6 +28,10 @@ PAD = -1
 UNRESOLVED = -2
 
 
+class SingularDiagonal(Exception):
+    """A zero diagonal entry reached the smoother (corrupt input guard)."""
+
+
 @dataclass
 class EllMatrix:
     """Padded fixed-width sparse rows; no row-pointer array.
@@ -53,35 +57,56 @@ class EllMatrix:
     def dtype(self):
         return self.values.dtype
 
+    def _cached(self, key, build):
+        """``build()`` once per key, in a store both precisions share.
+
+        Index arrays thus exist once per level; value keys carry the dtype.
+        """
+        got = self._caches.get(key)
+        if got is None:
+            got = self._caches[key] = build()
+        return got
+
     def diagonal(self):
-        return self.values[np.arange(self.n_rows), self.diag_pos]
+        """The diagonal in this precision, built once; its users divide by it."""
+        def build():
+            diag = self.values[np.arange(self.n_rows), self.diag_pos]
+            if np.any(diag == 0):
+                raise SingularDiagonal("zero diagonal entry in smoother input")
+            return diag
+        return self._cached(("diag", self.dtype), build)
 
     def spmv_cols(self):
         """col_idx with padding redirected to column 0 (its value is 0.0)."""
-        cache = self._caches.get("spmv_cols")
-        if cache is None:
-            cache = np.where(self.col_idx >= 0, self.col_idx, 0).astype(np.int32)
-            self._caches["spmv_cols"] = cache
-        return cache
+        return self._cached("spmv_cols", lambda: np.where(
+            self.col_idx >= 0, self.col_idx, 0).astype(np.int32))
 
-    def offdiag_view(self):
-        """(values with the diagonal zeroed, safe col_idx, diagonal) for sweeps."""
-        cache = self._caches.get("offdiag")
-        if cache is None:
-            offvals = self.values.copy()
-            rows = np.arange(self.n_rows)
-            offvals[rows, self.diag_pos] = 0
-            cache = (offvals, self.spmv_cols(), self.diagonal().copy())
-            self._caches["offdiag"] = cache
-        return cache
+    def packed(self, key, rows):
+        """(values[rows], spmv_cols()[rows]) for the row set ``key``, built once.
 
-    def halo_row_split(self):
-        """(rows without halo columns, rows with halo columns).
-
-        Not cached: each caller packs its own row subsets once and caches those.
+        A key names one row array for the matrix's life; another one raises.
         """
-        has_halo = self.col_idx.max(axis=1) >= self.n_rows  # no n x 27 temporary
-        return np.flatnonzero(~has_halo), np.flatnonzero(has_halo)
+        first, cols = self._cached(key, lambda: (rows, self.spmv_cols()[rows]))
+        if first is not rows:
+            raise ValueError(f"row set {key!r} was packed from another array")
+        vals = self._cached((key, self.dtype), lambda: self.values[rows])
+        return vals, cols
+
+    def halo_packs(self, below=None):
+        """(rows, values, cols) of the rows without, then with, halo columns.
+
+        Rows ascend in each pack; ``below`` keeps only the rows < below.
+        """
+        def split():
+            has_halo = self.col_idx.max(axis=1) >= self.n_rows  # no n x 27 temporary
+            return np.flatnonzero(~has_halo), np.flatnonzero(has_halo)
+        out = []
+        for key, rows in zip(("interior", "boundary"),
+                             self._cached("halo_rows", split)):
+            k = len(rows) if below is None else np.searchsorted(rows, below)
+            vals, cols = self.packed(key, rows)
+            out.append((rows[:k], vals[:k], cols[:k]))
+        return out
 
 
 def row_dot(vals, cols, x):
@@ -172,13 +197,15 @@ def to_low_precision(A):
     """Single-precision copy of A sharing the structure arrays.
 
     The entry values 26 and -1 are exact in binary32, so only the value array
-    narrows; indices, counts and diagonal positions are shared by reference.
+    narrows; indices, counts, diagonal positions and the store of derived
+    arrays are shared by reference.
     """
     return EllMatrix(n_rows=A.n_rows, width=A.width,
                      values=A.values.astype(np.float32),
                      col_idx=A.col_idx, col_global=A.col_global,
                      row_nnz=A.row_nnz, diag_pos=A.diag_pos,
-                     nnz_total=A.nnz_total, n_cols_extended=A.n_cols_extended)
+                     nnz_total=A.nnz_total, n_cols_extended=A.n_cols_extended,
+                     _caches=A._caches)
 
 
 def write_matrix_market(path, A, global_rows, n_global):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mxpbench.comm import (RankWorld, TopologyError, build_halo_plan,
-                           exchange, exchange_overlapped)
+from mxpbench import comm
+from mxpbench.comm import (ProtocolError, RankWorld, TopologyError,
+                           build_halo_plan, exchange, exchange_overlapped)
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import generate_matrix
 
@@ -65,6 +66,33 @@ def test_run_propagates_worker_exception():
 
     with pytest.raises(ValueError, match="rank 2 exploded"):
         RankWorld(4).run(worker)
+
+
+def test_mismatched_collectives_raise_on_every_rank():
+    def worker(world, rank):
+        try:
+            if rank == 0:
+                world.all_reduce_sum(rank, 1.0)
+            else:
+                world.gather(rank, 1.0)
+        except ProtocolError as exc:
+            return str(exc)
+        return "returned"
+
+    outs = RankWorld(2).run(worker)
+    assert all("different collectives" in o for o in outs)
+
+
+def test_skipped_collective_times_out(monkeypatch):
+    monkeypatch.setattr(comm, "_RECV_TIMEOUT", 0.5)
+
+    def worker(world, rank):
+        world.all_reduce_sum(rank, 1.0)
+        if rank == 0:
+            world.all_reduce_sum(rank, 1.0)   # rank 1 never joins this one
+
+    with pytest.raises(ProtocolError, match="timed out"):
+        RankWorld(2).run(worker)
 
 
 def _plan_worker(world, rank, gp):

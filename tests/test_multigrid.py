@@ -11,7 +11,7 @@ from mxpbench.multigrid import (
     fused_residual_restrict,
     prolong_add,
 )
-from mxpbench.smoother import SmootherWorkspace
+from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
 
 from _oracles import restrict_inject
 
@@ -88,6 +88,34 @@ def test_prolong_restrict_roundtrip():
     # A second prolongation accumulates instead of overwriting.
     prolong_add(x_f, x_c, coarse.f2c)
     assert np.array_equal(restrict_inject(x_f, coarse.f2c), 2.0 * x_c)
+
+
+def _cached_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for o in obj for a in _cached_arrays(o)]
+    return []
+
+
+def test_both_precisions_share_one_stored_operator_per_level():
+    h = _hierarchy(16, 16, 16, 4)
+    for dtype in (np.float64, np.float32):
+        h.apply(np.ones(h.levels[0].A_hi.n_rows, dtype=dtype))
+        for lv in h.levels:
+            A = lv.A_lo if dtype == np.float32 else lv.A_hi
+            z = np.zeros(A.n_cols_extended, dtype=dtype)
+            forward_gs_sweep(A, np.ones(A.n_rows, dtype=dtype), z,
+                             lv.coloring, z_is_zero=True)
+            spmv(A, z)
+    for lv in h.levels:
+        assert lv.A_lo.spmv_cols() is lv.A_hi.spmv_cols()
+        for A in (lv.A_hi, lv.A_lo):
+            cached = _cached_arrays(list(A._caches.values()))
+            assert any(a.dtype.kind == "f" for a in cached)   # the diagonals
+            # no full-size copy of the values beside A.values
+            assert not any(a.dtype.kind == "f" and a.ndim == 2
+                           and len(a) == A.n_rows for a in cached)
 
 
 def test_fused_residual_restrict_matches_unfused():

@@ -1,6 +1,7 @@
 """ELL stencil assembly, right-hand side, precision copies, export."""
 
 import numpy as np
+import pytest
 
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import (PAD, UNRESOLVED, generate_matrix, generate_rhs,
@@ -101,6 +102,20 @@ def test_spmv_cols_replaces_padding():
     cols = A.spmv_cols()
     assert cols.min() >= 0
     assert cols.max() < A.n_rows
+
+
+def test_packed_rows_are_shared_and_fixed_per_key():
+    A = _single_rank(4, 4, 4)
+    L = to_low_precision(A)
+    rows = np.arange(0, A.n_rows, 3)
+    vals, cols = A.packed("every third", rows)
+    assert np.array_equal(vals, A.values[rows])
+    assert np.array_equal(cols, A.spmv_cols()[rows])
+    vals_lo, cols_lo = L.packed("every third", rows)
+    assert cols_lo is cols
+    assert vals_lo.dtype == np.float32 and np.array_equal(vals_lo, vals)
+    with pytest.raises(ValueError, match="another array"):
+        A.packed("every third", rows.copy())
 
 
 def test_matrix_market_output(tmp_path):

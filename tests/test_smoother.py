@@ -15,10 +15,10 @@ from mxpbench.smoother import SingularDiagonal, SmootherWorkspace, \
 from _oracles import ell_from_dense, seq_gs_sweep
 
 
-def _permuted(nx, ny, nz):
+def _permuted(nx, ny, nz, strategy="greedy"):
     gp = GlobalProblem.from_local(nx, ny, nz, 1)
     A = generate_matrix(gp.domain(0))
-    c = color(A, "greedy")
+    c = color(A, strategy)
     Ap, _ = permute_system(A, [], c)
     build_halo_plan(gp.domain(0), Ap)
     return Ap, c
@@ -35,17 +35,24 @@ def test_sweep_matches_sequential_oracle_bitwise():
     assert np.array_equal(z[:Ap.n_rows], z_ref)
 
 
-def test_two_sweeps_match_oracle_bitwise():
-    Ap, c = _permuted(4, 4, 4)
+@pytest.mark.parametrize("strategy", ["greedy", "jpl"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_two_sweeps_match_oracle_bitwise(dtype, strategy):
+    # A random non-integer start makes the rounding of every product count:
+    # the sweep zeroes each block's rows of z before its row products, the
+    # oracle skips the diagonal.
+    Ap, c = _permuted(4, 4, 4, strategy)
+    A = Ap if dtype == np.float64 else to_low_precision(Ap)
     rng = np.random.default_rng(1)
-    r = rng.integers(-10, 11, size=Ap.n_rows).astype(float)
-    z = np.zeros(Ap.n_cols_extended)
-    z_ref = np.zeros(Ap.n_rows)
-    forward_gs_sweep(Ap, r, z, c, z_is_zero=True)
-    forward_gs_sweep(Ap, r, z, c)
-    seq_gs_sweep(Ap.values, Ap.col_idx, Ap.diag_pos, r, z_ref)
-    seq_gs_sweep(Ap.values, Ap.col_idx, Ap.diag_pos, r, z_ref)
-    assert np.array_equal(z[:Ap.n_rows], z_ref)
+    r = rng.integers(-10, 11, size=A.n_rows).astype(dtype)
+    z = rng.standard_normal(A.n_cols_extended).astype(dtype)
+    z_ref = z[:A.n_rows].copy()
+    forward_gs_sweep(A, r, z, c)
+    forward_gs_sweep(A, r, z, c)
+    seq_gs_sweep(A.values, A.col_idx, A.diag_pos, r, z_ref)
+    seq_gs_sweep(A.values, A.col_idx, A.diag_pos, r, z_ref)
+    assert z.dtype == dtype
+    assert np.array_equal(z[:A.n_rows], z_ref)
 
 
 def test_single_point_system_solved_exactly():
