@@ -11,7 +11,7 @@ Runs three sequential phases on the generated stencil system:
 
 The report carries per-motif seconds / flops / GFLOP/s for both timed
 phases plus a summary whose mixed-precision total is penalized by
-min(1, n_d / n_ir).
+min(1, n_d / n_ir), and the iteration count of every timed solve.
 """
 
 from __future__ import annotations
@@ -260,7 +260,9 @@ def _assemble_report(cfg, val, parts):
                "penalized_gflops": penalized,
                "speedup": penalized / dbl_total if dbl_total > 0 else 0.0,
                "motif_speedup": motif_speedup,
-               "reps": parts[0]["reps"]}
+               "reps": parts[0]["reps"],
+               "iterations": {"mxp": parts[0]["iters_mxp"],
+                              "double": parts[0]["iters_dbl"]}}
 
     return {"config": asdict(cfg),
             "validation": val,
@@ -300,7 +302,10 @@ def _build_parser():
     p = argparse.ArgumentParser(
         prog="mxpbench",
         description="Mixed-precision multigrid GMRES benchmark on a "
-                    "27-point stencil problem.")
+                    "27-point stencil problem.",
+        epilog="summary.speedup is penalized mixed GFLOP/s over double "
+               "GFLOP/s, each computed from modelled flops over summed motif "
+               "seconds; it is not a ratio of solve wall times.")
     p.add_argument("--local-nx", type=int, default=16,
                    help="local grid points in x per rank (default 16)")
     p.add_argument("--local-ny", type=int, default=16,

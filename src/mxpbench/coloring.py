@@ -27,7 +27,7 @@ class Coloring:
 def _neighbors(A):
     """n x width locally coupled rows; halo, padding and diagonal slots hold n."""
     n = A.n_rows
-    cols = A.col_idx
+    cols = np.ascontiguousarray(A.col_idx)   # row gathers read whole rows
     return np.where((cols >= 0) & (cols < n) & (cols != np.arange(n)[:, None]),
                     cols, n)
 
@@ -98,23 +98,24 @@ def check_coloring(A, coloring):
 def permute_system(A, vectors, coloring):
     """Apply the symmetric reordering P A P^T and permute ``vectors`` by P.
 
-    Rows are gathered by perm; owned column ids are relabeled through iperm.
-    The entry order inside each row is untouched: entries are sorted by global
-    column id, and a symmetric relabeling does not change global ids.
+    Rows are gathered by perm into new column-major arrays; owned column ids
+    are relabeled through iperm.  The entry order inside each row is
+    untouched: entries are sorted by global column id, and a symmetric
+    relabeling does not change global ids.
     """
-    from .problem import EllMatrix
+    from .problem import EllMatrix, take_rows
 
     n = A.n_rows
     perm = coloring.perm
-    col_idx = A.col_idx[perm].copy()
+    col_idx = take_rows(A.col_idx, perm)
     owned = (col_idx >= 0) & (col_idx < n)
     col_idx[owned] = coloring.iperm[col_idx[owned]]
     out = EllMatrix(n_rows=n, width=A.width,
-                    values=A.values[perm].copy(),
+                    values=take_rows(A.values, perm),
                     col_idx=col_idx,
-                    col_global=A.col_global[perm].copy(),
-                    row_nnz=A.row_nnz[perm].copy(),
-                    diag_pos=A.diag_pos[perm].copy(),
+                    col_global=take_rows(A.col_global, perm),
+                    row_nnz=A.row_nnz[perm],
+                    diag_pos=A.diag_pos[perm],
                     nnz_total=A.nnz_total,
                     n_cols_extended=A.n_cols_extended)
-    return out, [v[perm].copy() for v in vectors]
+    return out, [v[perm] for v in vectors]

@@ -180,13 +180,16 @@ def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
 
     Each rank tells every geometric neighbor which of its global columns it
     needs; the mirrored request becomes the send list.  A's UNRESOLVED column
-    entries are rewritten to slot indices >= n_rows.  Raises TopologyError if
-    a referenced column is owned by a rank that is not a geometric neighbor.
+    entries are rewritten to slot indices >= n_rows through
+    ``A.assign_halo_slots``, which also drops A's derived arrays.  Raises
+    TopologyError if a referenced column is owned by a rank that is not a
+    geometric neighbor.
     """
     n = A.n_rows
     plan = HaloPlan(halo_offset=n)
     off_mask = A.col_idx == UNRESOLVED
-    off_globals = np.unique(A.col_global[off_mask])
+    off_globals, entry_of = np.unique(A.col_global[off_mask],
+                                      return_inverse=True)
 
     neighbors = domain.neighbor_ranks()
     neighbor_set = set(neighbors)
@@ -225,12 +228,9 @@ def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
     plan.halo_size = base - n
     plan.neighbors = neighbors
 
-    if plan.halo_size:
-        flat_idx = np.flatnonzero(off_mask.ravel())
-        flat_g = A.col_global.ravel()[flat_idx]
-        A.col_idx.ravel()[flat_idx] = np.asarray(
-            [plan.slot_of_global[int(g)] for g in flat_g], dtype=np.int32)
-    A.n_cols_extended = n + plan.halo_size
+    slots = np.asarray([plan.slot_of_global[int(g)] for g in off_globals],
+                       dtype=np.int32)
+    A.assign_halo_slots(off_mask, slots[entry_of], n + plan.halo_size)
     return plan
 
 

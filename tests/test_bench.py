@@ -104,7 +104,7 @@ def test_validation_fails_when_reference_cannot_converge():
 
 MOTIF_BLOCK_KEYS = {"seconds", "flops", "gflops"}
 SUMMARY_KEYS = {"raw_gflops", "penalty", "penalized_gflops", "speedup",
-                "motif_speedup", "reps"}
+                "motif_speedup", "reps", "iterations"}
 
 
 def test_report_structure():
@@ -124,6 +124,9 @@ def test_report_structure():
 def test_zero_time_budget_runs_one_repetition():
     report = run_benchmark(_tiny_cfg())
     assert report["summary"]["reps"] == 1
+    iters = report["summary"]["iterations"]
+    assert len(iters["mxp"]) == len(iters["double"]) == 1
+    assert iters["mxp"][0] > 0 and iters["double"][0] > 0
 
 
 def test_summary_is_internally_consistent():
@@ -218,6 +221,15 @@ def test_cli_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["--frequency", "9000"])
     assert exc.value.code == 2
+
+
+def test_cli_help_says_speedup_is_not_a_wall_time_ratio(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "summary.speedup" in text
+    assert "not a ratio of solve wall times" in text
 
 
 def test_cli_dump_matrix(tmp_path):

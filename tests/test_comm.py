@@ -7,7 +7,10 @@ from mxpbench import comm
 from mxpbench.comm import (ProtocolError, RankWorld, TopologyError,
                            build_halo_plan, exchange, exchange_overlapped)
 from mxpbench.geometry import GlobalProblem
+from mxpbench.krylov import spmv
 from mxpbench.problem import generate_matrix
+
+from _oracles import seq_spmv
 
 
 def test_all_reduce_sum_fixed_order():
@@ -144,6 +147,29 @@ def test_exchange_delivers_global_ids():
     sizes = RankWorld(8).run(worker)
     # corner blocks of a 2x2x2 decomposition: 3 faces + 3 edges + 1 corner
     assert all(s == 3 * 16 + 3 * 4 + 1 for s in sizes)
+
+
+def test_halo_plan_drops_arrays_derived_before_it():
+    # spmv_cols() built while off-rank columns were still UNRESOLVED must
+    # not outlive the plan that rewrites them; stale, halo entries read x[0].
+    gp = GlobalProblem.from_local(4, 4, 4, 2)
+
+    def worker(world, rank):
+        dom = gp.domain(rank)
+        A = generate_matrix(dom)
+        A.spmv_cols()
+        plan = build_halo_plan(dom, A, world, rank)
+        rng = np.random.default_rng(40 + rank)
+        x = np.zeros(A.n_cols_extended)
+        x[:A.n_rows] = rng.standard_normal(A.n_rows)
+        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank)
+        exchange(x, plan, world, rank)
+        y_plain = spmv(A, x)
+        y_ref, _ = seq_spmv(A.values, A.col_idx, x)
+        return (y_over.tobytes() == y_ref.tobytes()
+                and y_plain.tobytes() == y_ref.tobytes())
+
+    assert all(RankWorld(2).run(worker))
 
 
 def test_exchange_overlapped_matches_blocking():

@@ -5,9 +5,10 @@ import pytest
 
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import (PAD, UNRESOLVED, generate_matrix, generate_rhs,
-                              to_low_precision, write_matrix_market)
+                              row_dot, to_low_precision, write_matrix_market)
 
-from _oracles import dense_stencil_3d, ell_to_dense, structure_signature
+from _oracles import (dense_stencil_3d, ell_to_dense, seq_spmv,
+                      structure_signature)
 
 
 def _single_rank(nx, ny, nz):
@@ -137,3 +138,23 @@ def test_matrix_market_output(tmp_path):
     for r, c, v in triplets:
         got[int(r) - 1, int(c) - 1] = float(v)
     assert np.array_equal(got, dense_stencil_3d(2, 2, 2))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 4096])
+def test_row_dot_adds_slots_in_order(n_rows, dtype, order):
+    # Non-integer products make any other summation order show in the low
+    # bits, and tobytes() tells -0.0 from +0.0 where array_equal does not.
+    # Stored matrices are column-major; the kernel must not depend on it.
+    rng = np.random.default_rng(n_rows)
+    for draw in range(max(1, 200 // n_rows)):
+        vals = np.asarray(rng.standard_normal((n_rows, 27)), dtype, order=order)
+        cols = np.asarray(rng.integers(0, 64, size=(n_rows, 27)), order=order)
+        x = rng.standard_normal(64).astype(dtype)
+        vals[rng.random(vals.shape) < 0.1] = -0.0
+        x[rng.random(64) < 0.1] = -0.0
+        if draw == 0:     # all products -0.0: the in-order sum reads +0.0
+            vals[0], cols[0], x[0] = -0.0, 0, 1.5
+        want, _ = seq_spmv(vals, cols, x)
+        assert row_dot(vals, cols, x).tobytes() == want.tobytes(), draw
