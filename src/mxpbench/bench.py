@@ -136,7 +136,8 @@ def _solve(cfg, hier, lv, b, world, rank, mode, tol, max_iters, tally=None):
 
 
 def _validation_worker(world, rank, cfg, nranks):
-    hier, lv, b = _build_state(cfg, nranks, world, rank)
+    state = _build_state(cfg, nranks, world, rank)
+    hier, lv, b = state
     dres = _solve(cfg, hier, lv, b, world, rank, "double",
                   cfg.tol, cfg.nd_cap)
     if cfg.validation_mode == "standard":
@@ -150,43 +151,51 @@ def _validation_worker(world, rank, cfg, nranks):
         # achieved residual becomes the mixed solve's target.
         target = dres.relres if not dres.converged else cfg.tol
     mres = _solve(cfg, hier, lv, b, world, rank, "mixed", target, cfg.nd_cap)
-    return dres.iterations, mres.iterations, dres.relres, mres.relres
+    return dres, mres, state
+
+
+def _validate(cfg, world=None):
+    """Phase 1, and the per-rank states it built when it ran on as many
+    ranks as the timed phases (None otherwise)."""
+    cfg.validate()
+    nranks = (cfg.validation_ranks if cfg.validation_mode == "standard"
+              else cfg.ranks)
+    if nranks == 1:
+        outs = [_validation_worker(None, 0, cfg, nranks)]
+    else:
+        if world is None or nranks != cfg.ranks:
+            world = RankWorld(nranks)
+        outs = world.run(_validation_worker, cfg, nranks)
+    dres, mres, _ = outs[0]
+    val = {"mode": cfg.validation_mode,
+           "n_d": dres.iterations,
+           "n_ir": mres.iterations,
+           "ratio": dres.iterations / mres.iterations,
+           "residual": dres.relres,
+           "restarts": mres.restarts,
+           "boundary_pairs": [list(p) for p in mres.boundary_pairs]}
+    states = [o[2] for o in outs] if nranks == cfg.ranks else None
+    return val, states
 
 
 def run_validation(cfg, world=None):
     """Phase 1: measure n_d and n_ir on the validation problem.
 
-    ``standard`` solves the per-rank problem on a small separate world of
-    ``validation_ranks`` ranks; ``fullscale`` uses all ranks and the full
-    problem (reusing ``world`` when one is supplied).
+    ``standard`` solves the per-rank problem on ``validation_ranks`` ranks;
+    ``fullscale`` uses all ranks and the full problem.  Either reuses
+    ``world`` when it has that many ranks.  ``restarts`` and
+    ``boundary_pairs`` (recurrence and true residual norm at each restart)
+    describe the mixed solve.
     """
-    cfg.validate()
-    if cfg.validation_mode == "standard":
-        nranks = cfg.validation_ranks
-        vworld = RankWorld(nranks) if nranks > 1 else None
-    else:
-        nranks = cfg.ranks
-        if nranks > 1:
-            vworld = world if world is not None else RankWorld(nranks)
-        else:
-            vworld = None
-    if vworld is None:
-        out = _validation_worker(None, 0, cfg, nranks)
-    else:
-        out = vworld.run(_validation_worker, cfg, nranks)[0]
-    n_d, n_ir, res_d, _ = out
-    return {"mode": cfg.validation_mode,
-            "n_d": n_d,
-            "n_ir": n_ir,
-            "ratio": n_d / n_ir,
-            "residual": res_d}
+    return _validate(cfg, world)[0]
 
 
 # -- phases 2 and 3: timed solves ---------------------------------------------
 
 
-def _bench_worker(world, rank, cfg):
-    hier, lv, b = _build_state(cfg, cfg.ranks, world, rank)
+def _bench_worker(world, rank, cfg, states=None):
+    hier, lv, b = (states[rank] if states is not None
+                   else _build_state(cfg, cfg.ranks, world, rank))
     tally_mxp = Tally()
     tally_dbl = Tally()
     iters_mxp = []
@@ -223,16 +232,21 @@ def _bench_worker(world, rank, cfg):
 
 
 def _phase_block(parts, phase):
-    """Aggregate one timed phase: flops summed over ranks, rank-0 seconds."""
+    """Aggregate one timed phase: flops and modelled bytes summed over
+    ranks, rank-0 seconds."""
     flops = sum_motif_dicts([p[phase]["flops"] for p in parts])
+    nbytes = sum_motif_dicts([p[phase]["bytes"] for p in parts])
     seconds = parts[0][phase]["seconds"]
     block = {}
     for motif in MOTIFS:
-        f = flops.get(motif, 0.0)
-        s = seconds.get(motif, 0.0)
+        f = flops[motif]
+        nb = nbytes[motif]
+        s = seconds[motif]
         block[motif] = {"seconds": s,
                         "flops": f,
-                        "gflops": gflops(f, s) if s > 0 else 0.0}
+                        "gflops": gflops(f, s) if s > 0 else 0.0,
+                        "bytes": nb,
+                        "gbytes_per_s": nb / s / 1e9 if s > 0 else 0.0}
     return block
 
 
@@ -272,14 +286,19 @@ def _assemble_report(cfg, val, parts):
 
 
 def run_benchmark(cfg):
-    """Run all three phases and return the report dictionary."""
+    """Run all three phases and return the report dictionary.
+
+    When validation solves the timed phases' per-rank problem on the same
+    world, the timed phases reuse its hierarchies instead of building them
+    again.
+    """
     cfg.validate()
     world = RankWorld(cfg.ranks) if cfg.ranks > 1 else None
-    val = run_validation(cfg, world)
+    val, states = _validate(cfg, world)
     if world is None:
-        parts = [_bench_worker(None, 0, cfg)]
+        parts = [_bench_worker(None, 0, cfg, states)]
     else:
-        parts = world.run(_bench_worker, cfg)
+        parts = world.run(_bench_worker, cfg, states)
     return _assemble_report(cfg, val, parts)
 
 

@@ -11,9 +11,19 @@ inner cycle also ends once its recurrence norm reaches float32 roundoff
 relative to the cycle's starting true residual, since beyond that the float32
 basis cannot reduce the float64 residual further; the next restart refines.
 
-Replicated state (H, t, and the rotation arrays) is updated redundantly on
-every rank from reduction results that are identical everywhere, so it stays
-bitwise identical across ranks — a debug mode checks that every step.
+The first such stalled cycle is not thrown away (GCRO, de Sturler 1999;
+Parks et al. 2006).  Its basis V (k+1 float32 rows) and the QR of its
+unrotated Hessenberg, H̄ = Q_G R_G, form a recycle pair: C = V Q_G is
+orthonormal and A M U = C for U = V[:k] R_G^-1, both held implicitly.  Every
+later cycle starts from (I - C C^T) r, runs Arnoldi on (I - C C^T) A M with
+the kept rows projected out in the same reduction as the current basis, and
+corrects with M(V y + U (C^T r - B y)), B = C^T A M V — still one V-cycle.
+Double mode never stalls, so it never recycles.
+
+Replicated state (H, t, the rotation arrays and the recycle pair's small
+matrices) is updated redundantly on every rank from reduction results that are
+identical everywhere, so it stays bitwise identical across ranks — a debug
+mode checks that every step.
 """
 
 from __future__ import annotations
@@ -46,25 +56,76 @@ class BreakdownError(Exception):
 
 
 @dataclass
+class RecyclePair:
+    """A stalled cycle's space: C = V Q_G orthonormal, A M V[:k] R_G^-1 = C.
+
+    ``block`` holds V's k+1 rows directly followed by the workspace basis,
+    so one product projects against both.  ``B`` collects C^T A M v_j for the
+    current cycle's basis and ``ctr`` is C^T r for its starting residual.
+    """
+
+    block: np.ndarray
+    QG: np.ndarray              # (k+1, k), float64
+    RG: np.ndarray              # (k, k) upper triangular, float64
+    B: np.ndarray               # (k, m), float64
+    ctr: np.ndarray = None      # (k,), float64
+
+    @property
+    def nv(self):
+        return self.QG.shape[0]
+
+    @property
+    def V(self):
+        return self.block[:self.nv]
+
+    def project(self, g):
+        """Coefficients on V's rows of C C^T w, given g = V w; C^T w too."""
+        c = self.QG.T @ g
+        return self.QG @ c, c
+
+
+@dataclass
 class GmresWorkspace:
-    """Restart-cycle state: basis, Hessenberg, rotations, projected RHS."""
+    """Restart-cycle state: basis, Hessenberg, rotations, projected RHS.
+
+    The basis ``Q`` is a window of ``block``; rows past it are spare room
+    for a recycle pair.
+    """
 
     m: int
+    block: np.ndarray
     Q: np.ndarray
     H: np.ndarray
+    Hu: np.ndarray              # H's columns before rotation, float64
     t: np.ndarray
     c: np.ndarray
     s: np.ndarray
     k: int = 0                  # iterations of the last cycle
+    recycle: RecyclePair = None
 
     @classmethod
-    def allocate(cls, n, m, dtype):
+    def allocate(cls, n, m, dtype, spare=0):
+        block = np.zeros((m + 1 + spare, n), dtype=dtype)
         return cls(m=m,
-                   Q=np.zeros((m + 1, n), dtype=dtype),
+                   block=block,
+                   Q=block[:m + 1],
                    H=np.zeros((m + 1, m), dtype=dtype),
+                   Hu=np.zeros((m + 1, m)),
                    t=np.zeros(m + 1, dtype=dtype),
                    c=np.zeros(m + 1, dtype=dtype),
                    s=np.zeros(m + 1, dtype=dtype))
+
+    def keep_recycle_pair(self, k):
+        """Keep the last cycle's basis and H̄ = Q_G R_G as the recycle pair.
+
+        The basis stays where it is, in ``block[:k+1]``, and ``Q`` moves to
+        the m+1 rows after it; this needs k+1 spare rows.
+        """
+        QG, RG = np.linalg.qr(self.Hu[:k + 1, :k])
+        self.Q = self.block[k + 1:k + self.m + 2]
+        self.recycle = RecyclePair(block=self.block, QG=QG, RG=RG,
+                                   B=np.zeros((k, self.m)))
+        return self.recycle
 
 
 @dataclass
@@ -101,25 +162,35 @@ def spmv(A, x, plan=None, world=None, rank=0, tally=None):
     return y
 
 
-def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, tally=None):
+def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, tally=None,
+                       recycle=None):
     """Two classical Gram-Schmidt passes of w against basis columns 0..k.
 
     Each pass projects (one reduced transposed product), subtracts, and
-    accumulates the coefficients into H[:k+1, k].  Returns the summed
-    coefficients; w is deflated in place.
+    accumulates the coefficients into H[:k+1, k].  With a ``recycle`` pair
+    the same product and reduction also cover its kept rows: the pass
+    subtracts C C^T w and adds C^T w to ``recycle.B[:, k]``.  Returns the
+    summed basis coefficients; w is deflated in place.
     """
     kb = k + 1
     n = Q.shape[1]
+    nv = 0 if recycle is None else recycle.nv
+    rows = Q[:kb] if recycle is None else recycle.block[:nv + kb]
     timer = tally.timed("Ortho") if tally is not None else nullcontext()
     with timer:
         h_total = np.zeros(kb, dtype=Q.dtype)
         for _ in range(2):
-            h = reduce_sum(world, rank, Q[:kb] @ w)
-            w -= Q[:kb].T @ h
+            g = reduce_sum(world, rank, rows @ w)
+            h = g[nv:]
+            if nv:
+                gv, c = recycle.project(g[:nv])
+                recycle.B[:, k] += c
+                g = np.concatenate([gv.astype(Q.dtype), h])
+            w -= rows.T @ g
             H[:kb, k] += h
             h_total += h
     if tally is not None:
-        tally.add("cgs2", Q.dtype, n=n, k=kb)
+        tally.add("cgs2", Q.dtype, n=n, k=nv + kb)
     return h_total
 
 
@@ -166,7 +237,11 @@ def _back_substitute(H, t, k):
 def _assert_replicated(world, rank, ws):
     """Debug guard: replicated solver state must agree bitwise across ranks."""
     digest = hashlib.sha256()
-    for arr in (ws.H, ws.t, ws.c, ws.s):
+    arrays = [ws.H, ws.t, ws.c, ws.s]
+    if ws.recycle is not None:
+        rp = ws.recycle
+        arrays += [rp.B, rp.QG, rp.RG, rp.ctr]
+    for arr in arrays:
         digest.update(arr.tobytes())
     digests = world.gather(rank, digest.hexdigest())
     if rank == 0 and len(set(digests)) != 1:
@@ -183,13 +258,20 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     in the mode precision before folding the correction into x in float64.
     In mixed mode an inner cycle also ends once its recurrence norm falls
     below ``F32_STALL`` times the cycle's starting true residual (float32
-    roundoff); every cycle still makes at least one iteration.
+    roundoff); every cycle still makes at least one iteration.  The first
+    cycle that ends this way (before ``m``) becomes the workspace's
+    ``recycle`` pair: every later cycle starts from (I - C C^T) r, keeps
+    its basis orthogonal to C, and adds U (C^T r - B y) to the basis
+    combination V y before the one preconditioner application.  Later
+    stalls keep that first pair.  Double mode never stalls, so its
+    arithmetic is plain restarted GMRES.
     ``precond`` maps a residual-shaped vector to a correction in the vector's
     own precision (None means identity).  Returns a SolveResult whose
     ``boundary_pairs`` hold (recurrence norm, true norm) at each restart.
     With ``keep_basis`` its ``workspace`` holds the last cycle's basis in
     ``Q[:k+1]``, k = ``workspace.k`` being that cycle's iteration count;
-    rows past that may be stale rows from earlier cycles.
+    rows past that hold stale or unset values, and
+    ``workspace.recycle`` the recycle pair (None when no cycle stalled).
     """
     if mode not in ("double", "mixed"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -198,7 +280,11 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     A_in = A_lo if mixed else A_hi
     n = A_hi.n_rows
 
-    ws = GmresWorkspace.allocate(n, m, dtype)
+    # A stalled cycle ends before m, so m spare rows hold any pair; one more
+    # makes the float32 block the size of a float64 basis, so the allocator
+    # reuses one chunk for both modes (with m spare rows, 32^3 peak RSS rose
+    # by 5 MB).
+    ws = GmresWorkspace.allocate(n, m, dtype, spare=m + 1 if mixed else 0)
     x_t = np.zeros(A_hi.n_cols_extended)
     if x0 is not None:
         x_t[:n] = x0
@@ -232,6 +318,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     last_rec = None
     converged = False
     relres = 1.0
+    stalled = 0                 # iterations of the first stalled cycle
 
     while True:
         r, rho = true_residual()
@@ -244,11 +331,31 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
         if total >= max_iters:
             break
 
+        rp = ws.recycle
+        if stalled and rp is None:
+            rp = ws.keep_recycle_pair(stalled)
         with timed("Vector ops"):
             ws.Q[0] = r / rho
         count("scale", np.float64, n=n)
         ws.t[:] = 0
         ws.t[0] = rho
+        if rp is not None:
+            # Start from (I - C C^T) r: one reduction for V q, one for the
+            # norm of what is left (the difference ||q||^2 - ||C^T q||^2
+            # could cancel to nothing when r lies almost in span C).
+            with timed("Ortho"):
+                q = ws.Q[0]
+                gv, c = rp.project(reduce_sum(world, rank, rp.V @ q))
+                q -= rp.V.T @ gv.astype(dtype)
+                beta = float(np.sqrt(reduce_sum(world, rank, q @ q)))
+                q /= beta
+            for _ in range(2):      # V q, then V^T (Q_G C^T q)
+                count("gemv_update", dtype, n=n, k=rp.nv)
+            count("norm", dtype, motif="Ortho", n=n)
+            count("scale", dtype, motif="Ortho", n=n)
+            rp.ctr = rho * c
+            rp.B[:] = 0
+            ws.t[0] = rho * beta
         ws.H[:] = 0
         ws.c[:] = 0
         ws.s[:] = 0
@@ -262,7 +369,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
             zv = precond(ws.Q[k]) if precond is not None else ws.Q[k]
             z_t[:n] = zv
             w = spmv(A_in, z_t, plan, world, rank, tally)
-            cgs2_orthogonalize(ws.Q, k, w, ws.H, world, rank, tally)
+            cgs2_orthogonalize(ws.Q, k, w, ws.H, world, rank, tally, rp)
             with timed("Ortho"):
                 beta = np.sqrt(reduce_sum(world, rank, w @ w))
                 ws.H[k + 1, k] = beta
@@ -272,6 +379,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
                     ws.Q[k + 1] = 0
             count("norm", dtype, motif="Ortho", n=n)
             count("scale", dtype, motif="Ortho", n=n)
+            ws.Hu[:k + 2, k] = ws.H[:k + 2, k]
             try:
                 rho_rec = givens_update(ws.H, ws.t, ws.c, ws.s, k)
             except BreakdownError:
@@ -286,14 +394,24 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
         if k > 0:
             yk = _back_substitute(ws.H, ws.t, k)
             with timed("Ortho"):
-                ru = ws.Q[:k].T @ yk.astype(dtype)
-            count("gemv_update", dtype, n=n, k=k)
+                if rp is None:
+                    ru = ws.Q[:k].T @ yk.astype(dtype)
+                else:
+                    # U (C^T r - B y) = V[:-1] R_G^-1 (C^T r - B y).
+                    u = _back_substitute(rp.RG, rp.ctr - rp.B[:, :k] @ yk,
+                                         rp.nv - 1)
+                    coef = np.concatenate([u, [0.0], yk]).astype(dtype)
+                    ru = rp.block[:rp.nv + k].T @ coef
+            count("gemv_update", dtype, n=n,
+                  k=k if rp is None else rp.nv + k)
             zu = precond(ru) if precond is not None else ru
             with timed("Vector ops"):
                 x_t[:n] += zu
             count("vadd", np.float64, n=n)
         cycles += 1
         last_rec = rho_rec
+        if not stalled and k < m and rho_rec < floor:
+            stalled = k
 
         if broke_down:
             _, rho = true_residual()

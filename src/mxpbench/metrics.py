@@ -14,8 +14,14 @@ nnz = stored nonzeros, n_c = coarse rows):
     restrict_inject 0             (pure copy)
     prolong_add     n_c
 
-The Givens recurrence and the small triangular solve are excluded: both are
-O(m^2) per restart cycle and run redundantly on every rank.
+With a GMRES recycle pair, k counts its kept rows too: in ``cgs2`` (the
+passes project against them) and in ``gemv_update`` (the U-term of the
+correction).  A recycled restart projects the start vector out with two
+``gemv_update`` calls over the kept rows plus a ``norm`` and a ``scale``.
+
+The Givens recurrence, the small triangular solves and the recycle pair's
+small QR and Q_G products are excluded: all are O(m^2) or less per restart
+cycle and run redundantly on every rank.
 
 Bytes move matrix values and vector elements at their native width and index
 entries at 4 bytes, each touched once per kernel — no cache model.  That is

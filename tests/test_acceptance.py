@@ -160,7 +160,7 @@ def test_criterion_2_convergence_and_penalty():
     assert dres.converged and dres.iterations <= 300
     assert dres.iterations == 16  # frozen desk regression value
     assert mres.converged and mres.relres < 1e-9
-    assert mres.iterations == 17  # frozen desk regression value
+    assert mres.iterations == 16  # frozen desk regression value
     assert elapsed < 60.0
     assert penalty >= 0.85, (
         f"penalty {penalty:.3f} below the 0.85 threshold: mixed solve took "
@@ -315,6 +315,7 @@ def _strip_timing(report):
         for motif in MOTIFS:
             out[phase][motif].pop("seconds")
             out[phase][motif].pop("gflops")
+            out[phase][motif].pop("gbytes_per_s")
     for key in ("raw_gflops", "penalized_gflops", "speedup", "motif_speedup"):
         out["summary"].pop(key)
     return out

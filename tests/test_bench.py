@@ -84,8 +84,8 @@ def test_fullscale_validation_iteration_counts():
     v = run_validation(_tiny_cfg(validation_mode="fullscale"))
     assert v["mode"] == "fullscale"
     assert v["n_d"] == 10
-    assert v["n_ir"] == 11
-    assert v["ratio"] == pytest.approx(10 / 11, rel=1e-15)
+    assert v["n_ir"] == 10
+    assert v["ratio"] == 1.0
     assert v["residual"] == pytest.approx(3.338933745599345e-11, rel=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_validation_fails_when_reference_cannot_converge():
 # -- full benchmark and report contract ----------------------------------------
 
 
-MOTIF_BLOCK_KEYS = {"seconds", "flops", "gflops"}
+MOTIF_BLOCK_KEYS = {"seconds", "flops", "gflops", "bytes", "gbytes_per_s"}
 SUMMARY_KEYS = {"raw_gflops", "penalty", "penalized_gflops", "speedup",
                 "motif_speedup", "reps", "iterations"}
 
@@ -111,7 +111,8 @@ def test_report_structure():
     report = run_benchmark(_tiny_cfg())
     assert set(report) == {"config", "validation", "mxp", "double", "summary"}
     assert set(report["validation"]) == {"mode", "n_d", "n_ir", "ratio",
-                                         "residual"}
+                                         "residual", "restarts",
+                                         "boundary_pairs"}
     for phase in ("mxp", "double"):
         assert set(report[phase]) == set(MOTIFS)
         for motif in MOTIFS:
@@ -147,6 +148,7 @@ def _strip_timing(report):
         for motif in MOTIFS:
             out[phase][motif].pop("seconds")
             out[phase][motif].pop("gflops")
+            out[phase][motif].pop("gbytes_per_s")
     for key in ("raw_gflops", "penalized_gflops", "speedup", "motif_speedup"):
         out["summary"].pop(key)
     return out
@@ -161,11 +163,57 @@ def test_counted_work_is_deterministic_across_runs():
 
 def test_mxp_phase_counts_low_precision_bytes():
     report = run_benchmark(_tiny_cfg())
-    # Same solve count and flop model, but the mixed phase converges in more
-    # iterations, so it does strictly more counted work per repetition.
-    mxp_total = sum(report["mxp"][m]["flops"] for m in MOTIFS)
-    dbl_total = sum(report["double"][m]["flops"] for m in MOTIFS)
-    assert mxp_total > dbl_total > 0
+    # The mixed phase moves its inner-solver values at 4 bytes instead of 8,
+    # so it moves fewer modelled bytes per counted flop than the double phase.
+    def bytes_per_flop(phase):
+        block = report[phase]
+        return (sum(block[m]["bytes"] for m in MOTIFS)
+                / sum(block[m]["flops"] for m in MOTIFS))
+
+    assert 0 < bytes_per_flop("mxp") < bytes_per_flop("double")
+
+
+def test_phase_block_sums_bytes_over_ranks():
+    def part(nbytes, seconds):
+        return {"mxp": {"flops": {m: 10 for m in MOTIFS},
+                        "bytes": {m: nbytes for m in MOTIFS},
+                        "seconds": {m: seconds for m in MOTIFS}}}
+
+    block = bench._phase_block([part(3_000, 2e-6), part(5_000, 9.0)], "mxp")
+    for motif in MOTIFS:
+        # Bytes add up like flops; the rate uses rank 0's seconds.
+        assert block[motif]["bytes"] == 8_000
+        assert block[motif]["gbytes_per_s"] == pytest.approx(4.0, rel=1e-12)
+    idle = bench._phase_block([part(0, 0.0)], "mxp")
+    assert idle["GS"]["gbytes_per_s"] == 0.0
+
+
+def test_validation_reports_mixed_restart_pairs():
+    v = run_validation(_tiny_cfg())
+    assert v["restarts"] >= 1
+    assert len(v["boundary_pairs"]) == v["restarts"]
+    for rec_norm, true_norm in v["boundary_pairs"]:
+        assert rec_norm > 0.0 and true_norm > 0.0
+
+
+@pytest.mark.parametrize("overrides, builds", [
+    ({}, 1),                                     # 1-rank standard
+    ({"validation_mode": "fullscale"}, 1),
+    ({"ranks": 2, "validation_mode": "fullscale"}, 2),
+    ({"ranks": 2}, 3),          # 1-rank validation, then 2 timed ranks
+])
+def test_hierarchy_built_once_when_phases_share_a_problem(monkeypatch,
+                                                          overrides, builds):
+    calls = []
+    real = bench.build_hierarchy
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_hierarchy", counting)
+    run_benchmark(_tiny_cfg(**overrides))
+    assert len(calls) == builds
 
 
 # -- command-line interface ----------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the GMRES solver and its dense/sparse kernels."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import (
     BreakdownError,
     GmresWorkspace,
+    RecyclePair,
     _back_substitute,
     cgs2_orthogonalize,
     givens_update,
@@ -229,7 +232,7 @@ def test_iteration_counts_are_reproducible_double():
 def test_iteration_counts_are_reproducible_mixed():
     res = _preconditioned_solve("mixed")
     assert res.converged
-    assert res.iterations == 17
+    assert res.iterations == 16
     assert res.relres <= 1e-9
 
 
@@ -278,3 +281,125 @@ def test_unpreconditioned_tally_has_no_multigrid_motifs():
     assert tally.flops["Restriction"] == 0
     assert tally.flops["Prolongation"] == 0
     assert tally.flops["SpMV"] > 0
+
+
+# -- the recycle pair kept at the first float32 stall ----------------------
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+@pytest.fixture(scope="module")
+def desk():
+    gp = GlobalProblem.from_local(16, 16, 16, 1)
+    hier = build_hierarchy(gp.domain(0), 4, sweeps=SmootherWorkspace())
+    lv = hier.levels[0]
+    return hier, lv, lv.A_hi.values.sum(axis=1)
+
+
+def _desk_solve(desk, mode, **kw):
+    hier, lv, b = desk
+    x = np.zeros(lv.A_hi.n_rows)
+    res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r), b, x0=x,
+                      mode=mode, **kw)
+    return res, x
+
+
+def _recycled(desk):
+    res, _ = _desk_solve(desk, "mixed", tol=1e-9, keep_basis=True)
+    rp = res.workspace.recycle
+    V = rp.V.astype(np.float64)
+    return res.workspace, rp, V, V.T @ rp.QG
+
+
+def test_cgs2_with_recycle_pair_projects_out_c_and_records_b():
+    rng = np.random.default_rng(11)
+    n, nv, m = 64, 4, 3
+    Vq, _ = np.linalg.qr(rng.standard_normal((n, nv + 1)))
+    block = np.zeros((nv + m + 1, n))
+    block[:nv] = Vq[:, :nv].T
+    QG, RG = np.linalg.qr(rng.standard_normal((nv, nv - 1)))
+    rp = RecyclePair(block=block, QG=QG, RG=RG, B=np.zeros((nv - 1, m)))
+    Q = block[nv:]
+    Q[0] = Vq[:, nv]
+    C = rp.V.T @ QG
+    w = rng.standard_normal(n)
+    w_orig = w.copy()
+    H = np.zeros((m + 1, m))
+    h = cgs2_orthogonalize(Q, 0, w, H, recycle=rp)
+    assert np.max(np.abs(C.T @ w)) <= 1e-14 * np.linalg.norm(w_orig)
+    assert abs(Q[0] @ w) <= 1e-14 * np.linalg.norm(w_orig)
+    # w_orig == w + C B[:, 0] + h[0] Q[0] up to roundoff.
+    assert np.allclose(w + C @ rp.B[:, 0] + h[0] * Q[0], w_orig, rtol=0.0,
+                       atol=1e-14)
+
+
+def test_recycle_pair_c_is_orthonormal(desk):
+    # CGS2 keeps the float32 basis V orthonormal to a few eps32 per entry,
+    # and C^T C - I = Q_G^T (V V^T - I) Q_G is bounded by ||V V^T - I||_2.
+    _, rp, V, C = _recycled(desk)
+    E = V @ V.T - np.eye(rp.nv)
+    assert np.max(np.abs(E)) <= 4 * EPS32
+    assert (np.max(np.abs(C.T @ C - np.eye(rp.nv - 1)))
+            <= np.linalg.norm(E, 2) + 1e-12)
+
+
+def test_recycle_pair_spans_a_m_u_equals_c(desk):
+    # A M V_k = V_{k+1} H_k holds to float32 rounding of ||H_k|| per column;
+    # U = V_k R_G^-1 scales that by ||R_G^-1||, so a column of A M U misses
+    # its column of C by about eps32 * cond(R_G).
+    hier, lv, _ = desk
+    _, rp, V, C = _recycled(desk)
+    k = rp.nv - 1
+    U = V[:k].T @ np.linalg.inv(rp.RG)
+    bound = 8 * EPS32 * np.linalg.cond(rp.RG)
+    z = np.zeros(lv.A_lo.n_cols_extended, dtype=np.float32)
+    for j in range(k):
+        z[:lv.A_lo.n_rows] = hier.apply(U[:, j].astype(np.float32))
+        amu = spmv(lv.A_lo, z).astype(np.float64)
+        assert np.linalg.norm(amu - C[:, j]) <= bound
+
+
+def test_last_cycle_basis_is_orthogonal_to_c(desk):
+    ws, rp, _, C = _recycled(desk)
+    assert ws.k >= 1
+    Q = ws.Q[:ws.k + 1].astype(np.float64)
+    assert np.max(np.abs(Q @ C)) <= 4 * EPS32
+
+
+def test_later_stalls_keep_the_first_recycle_pair(desk):
+    # Three cycles: the second and third both run on the first stall's
+    # 12-iteration space.
+    res, x = _desk_solve(desk, "mixed", tol=1e-13, keep_basis=True)
+    assert res.converged
+    assert res.iterations == 24  # frozen; 26 with plain restarts
+    assert res.restarts == 3
+    assert res.workspace.recycle.nv == 13
+    assert np.max(np.abs(x - 1.0)) <= 1e-11
+
+
+def test_stall_one_short_of_m_fits_the_block(desk):
+    # The first cycle stalls after 12 iterations; with m = 13 the kept 13
+    # rows and the next 14-row basis end one row short of the 28-row block.
+    res, x = _desk_solve(desk, "mixed", tol=1e-9, m=13, keep_basis=True)
+    ws = res.workspace
+    assert res.converged and res.iterations == 16
+    assert ws.recycle.nv == 13
+    assert ws.block.shape[0] == 28
+    assert np.shares_memory(ws.Q[-1], ws.block[-2])
+    assert np.max(np.abs(x - 1.0)) <= 1e-8
+
+
+def test_cycles_that_end_at_m_restart_as_before(desk):
+    # With m = 5 no cycle stalls, so nothing is recycled.
+    res, _ = _desk_solve(desk, "mixed", tol=1e-9, m=5, keep_basis=True)
+    assert res.workspace.recycle is None
+    assert (res.iterations, res.restarts) == (27, 6)
+    assert res.relres == 5.923984293839839e-10
+
+
+def test_double_solution_is_bitwise_unchanged(desk):
+    # Double mode never recycles; x hashes as it did before recycling.
+    res, x = _desk_solve(desk, "double", tol=1e-9)
+    assert res.iterations == 16
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "b4a158d247c7f07ceb44ba73395c6e4531ba7fbe7d6a325fa0fe0d0f0a8490b0")
