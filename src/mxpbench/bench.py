@@ -59,7 +59,6 @@ class BenchConfig:
     nd_cap: int = 10000         # iteration cap for the validation solves
     time_seconds: float = 5.0   # wall-time budget of the mxp phase
     validation_mode: str = "standard"
-    validation_ranks: int = 1   # world size of standard-mode validation
     coloring: str = "greedy"
     seed: int = 0
     mg_levels: int = 4
@@ -82,8 +81,6 @@ class BenchConfig:
             raise ConfigError("mg_levels must be at least 1")
         if self.ranks < 1:
             raise ConfigError("ranks must be at least 1")
-        if not 1 <= self.validation_ranks <= self.ranks:
-            raise ConfigError("validation_ranks must lie in [1, ranks]")
         if self.restart < 1:
             raise ConfigError("restart length must be at least 1")
         if self.tol <= 0:
@@ -158,13 +155,11 @@ def _validate(cfg, world=None):
     """Phase 1, and the per-rank states it built when it ran on as many
     ranks as the timed phases (None otherwise)."""
     cfg.validate()
-    nranks = (cfg.validation_ranks if cfg.validation_mode == "standard"
-              else cfg.ranks)
+    nranks = 1 if cfg.validation_mode == "standard" else cfg.ranks
     if nranks == 1:
         outs = [_validation_worker(None, 0, cfg, nranks)]
     else:
-        if world is None or nranks != cfg.ranks:
-            world = RankWorld(nranks)
+        world = world or RankWorld(nranks)
         outs = world.run(_validation_worker, cfg, nranks)
     dres, mres, _ = outs[0]
     val = {"mode": cfg.validation_mode,
@@ -181,11 +176,10 @@ def _validate(cfg, world=None):
 def run_validation(cfg, world=None):
     """Phase 1: measure n_d and n_ir on the validation problem.
 
-    ``standard`` solves the per-rank problem on ``validation_ranks`` ranks;
-    ``fullscale`` uses all ranks and the full problem.  Either reuses
-    ``world`` when it has that many ranks.  ``restarts`` and
-    ``boundary_pairs`` (recurrence and true residual norm at each restart)
-    describe the mixed solve.
+    ``standard`` solves the per-rank problem on one rank; ``fullscale``
+    uses all ranks and the full problem, on ``world`` when one is given.
+    ``restarts`` and ``boundary_pairs`` (recurrence and true residual norm
+    at each restart) describe the mixed solve.
     """
     return _validate(cfg, world)[0]
 

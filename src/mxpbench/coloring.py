@@ -89,12 +89,6 @@ def color(A, strategy="greedy", seed=0):
                     perm=perm, iperm=iperm)
 
 
-def check_coloring(A, coloring):
-    """True iff no two locally coupled rows share a color."""
-    c = np.append(coloring.color, -1)    # the sentinel n matches no color
-    return not np.any(c[_neighbors(A)] == c[:-1, None])
-
-
 def permute_system(A, vectors, coloring):
     """Apply the symmetric reordering P A P^T and permute ``vectors`` by P.
 

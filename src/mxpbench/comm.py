@@ -157,22 +157,14 @@ class RankWorld:
 class HaloPlan:
     """Who sends what to whom, and where received values land.
 
-    Receive slots start at ``halo_offset`` (= the local row count) and are
-    laid out neighbor by neighbor in ascending rank id, ascending global
-    index within each neighbor.  Send lists mirror the peer's request order.
+    Receive slots start at the local row count and are laid out neighbor by
+    neighbor in ascending rank id, ascending global index within each
+    neighbor.  Send lists mirror the peer's request order.
     """
 
     neighbors: list = field(default_factory=list)
     send_rows: dict = field(default_factory=dict)
-    recv_counts: dict = field(default_factory=dict)
     recv_slices: dict = field(default_factory=dict)
-    slot_of_global: dict = field(default_factory=dict)
-    halo_offset: int = 0
-    halo_size: int = 0
-
-    @property
-    def has_traffic(self):
-        return self.halo_size > 0 or any(len(v) for v in self.send_rows.values())
 
 
 def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
@@ -186,51 +178,38 @@ def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
     geometric neighbor.
     """
     n = A.n_rows
-    plan = HaloPlan(halo_offset=n)
     off_mask = A.col_idx == UNRESOLVED
     off_globals, entry_of = np.unique(A.col_global[off_mask],
                                       return_inverse=True)
-
+    owners = domain.owner_rank(off_globals)
     neighbors = domain.neighbor_ranks()
-    neighbor_set = set(neighbors)
-    wanted = {nb: [] for nb in neighbors}
-    for g in off_globals:
-        owner = domain.owner_rank(int(g))
-        if owner not in neighbor_set:
-            raise TopologyError(
-                f"rank {domain.rank}: column {int(g)} owned by rank {owner}, "
-                f"which is not a neighbor")
-        wanted[owner].append(int(g))
+    stray = ~np.isin(owners, neighbors)
+    if stray.any():
+        g, owner = off_globals[stray][0], owners[stray][0]
+        raise TopologyError(
+            f"rank {domain.rank}: column {g} owned by rank {owner}, "
+            f"which is not a neighbor")
 
     if world is None:
         if len(off_globals):
             raise TopologyError("off-rank columns present but no world to exchange with")
-        return plan
+        return HaloPlan()
 
+    # Slot s holds off_globals[order[s]]: owners ascend, and the stable sort
+    # keeps global ids ascending within each owner.
+    order = np.argsort(owners, kind="stable")
+    ends = np.searchsorted(owners[order], neighbors, side="right").tolist()
+    plan = HaloPlan(neighbors=neighbors)
+    for nb, lo, hi in zip(neighbors, [0] + ends, ends):
+        world.send(rank, nb, off_globals[order[lo:hi]])
+        plan.recv_slices[nb] = slice(n + lo, n + hi)
     for nb in neighbors:
-        world.send(rank, nb, np.asarray(sorted(wanted[nb]), dtype=np.int64))
-    for nb in neighbors:
-        req = world.recv(rank, nb)
-        rows = np.empty(len(req), dtype=np.int64)
-        for i, g in enumerate(req):
-            local = domain.global_to_local(int(g))  # raises if not owned
-            rows[i] = local if iperm is None else iperm[local]
-        plan.send_rows[nb] = rows
+        local = domain.global_to_local(world.recv(rank, nb))  # raises if not owned
+        plan.send_rows[nb] = local if iperm is None else iperm[local]
 
-    base = n
-    for nb in neighbors:
-        globs = sorted(wanted[nb])
-        plan.recv_counts[nb] = len(globs)
-        plan.recv_slices[nb] = slice(base, base + len(globs))
-        for g in globs:
-            plan.slot_of_global[g] = base
-            base += 1
-    plan.halo_size = base - n
-    plan.neighbors = neighbors
-
-    slots = np.asarray([plan.slot_of_global[int(g)] for g in off_globals],
-                       dtype=np.int32)
-    A.assign_halo_slots(off_mask, slots[entry_of], n + plan.halo_size)
+    slots = np.empty(len(off_globals), dtype=np.int32)
+    slots[order] = np.arange(n, n + len(off_globals))
+    A.assign_halo_slots(off_mask, slots[entry_of], n + len(off_globals))
     return plan
 
 
@@ -243,11 +222,12 @@ def _swap_halo(v, plan, world, rank, interior_work=lambda: None):
     result = interior_work()
     for nb in plan.neighbors:
         buf = world.recv(rank, nb)
-        if len(buf) != plan.recv_counts[nb]:
+        dst = plan.recv_slices[nb]
+        if len(buf) != dst.stop - dst.start:
             raise ProtocolError(
                 f"halo exchange count mismatch from rank {nb}: "
-                f"got {len(buf)}, expected {plan.recv_counts[nb]}")
-        v[plan.recv_slices[nb]] = buf
+                f"got {len(buf)}, expected {dst.stop - dst.start}")
+        v[dst] = buf
     return result
 
 

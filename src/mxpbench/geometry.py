@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 class CoarseningError(Exception):
     """A local grid dimension is odd and cannot be halved."""
@@ -126,33 +128,26 @@ class LocalDomain:
         """Natural (pre-reordering) local row index of local coords (i, j, k)."""
         return i + self.lnx * (j + self.lny * k)
 
-    def local_to_global(self, i, j, k):
-        """Global row index of local coords (i, j, k); x runs fastest."""
-        if not (0 <= i < self.lnx and 0 <= j < self.lny and 0 <= k < self.lnz):
-            raise ValueError(f"local coords ({i},{j},{k}) outside "
-                             f"({self.lnx},{self.lny},{self.lnz})")
-        return (self.ox + i) + self.gnx * ((self.oy + j) + self.gny * (self.oz + k))
-
     def global_coords(self, g):
         gx = g % self.gnx
         rem = g // self.gnx
         return gx, rem % self.gny, rem // self.gny
 
-    def owns_global(self, g):
-        gx, gy, gz = self.global_coords(g)
-        return (self.ox <= gx < self.ox + self.lnx
-                and self.oy <= gy < self.oy + self.lny
-                and self.oz <= gz < self.oz + self.lnz)
-
     def global_to_local(self, g):
-        """Natural local row index of a global index this rank owns."""
+        """Natural local row indices of an array of global indices this rank
+        owns; raises ValueError if any is not owned."""
+        g = np.asarray(g)
         gx, gy, gz = self.global_coords(g)
-        if not self.owns_global(g):
-            raise ValueError(f"global index {g} not owned by rank {self.rank}")
-        return self.local_index(gx - self.ox, gy - self.oy, gz - self.oz)
+        i, j, k = gx - self.ox, gy - self.oy, gz - self.oz
+        owned = ((0 <= i) & (i < self.lnx) & (0 <= j) & (j < self.lny)
+                 & (0 <= k) & (k < self.lnz))
+        if not owned.all():
+            raise ValueError(f"global index {g[~owned].flat[0]} "
+                             f"not owned by rank {self.rank}")
+        return self.local_index(i, j, k)
 
     def owner_rank(self, g):
-        """Rank id owning global index ``g``."""
+        """Rank id owning global index ``g`` (elementwise for an array)."""
         gx, gy, gz = self.global_coords(g)
         return (gx // self.lnx) + self.npx * ((gy // self.lny) + self.npy * (gz // self.lnz))
 

@@ -141,12 +141,6 @@ class Tally:
     def total_bytes(self):
         return sum(self.bytes.values())
 
-    def reset(self):
-        for m in MOTIFS:
-            self.flops[m] = 0
-            self.bytes[m] = 0
-            self.seconds[m] = 0.0
-
 
 def sum_motif_dicts(dicts):
     """Elementwise sum of per-motif dictionaries (e.g. flops across ranks)."""

@@ -24,7 +24,7 @@ from contextlib import nullcontext
 # ``exchange`` stays bound here, unused: perfbench/test_perfbench.py checks
 # that its tracer wraps ``smoother.exchange``.
 from .comm import exchange, exchange_overlapped  # noqa: F401
-from .problem import SingularDiagonal, row_dot  # noqa: F401
+from .problem import row_dot
 
 
 @dataclass

@@ -205,6 +205,46 @@ def restrict_inject(v_f, f2c):
 # -- misc oracles ---------------------------------------------------------------
 
 
+def local_to_global(dom, i, j, k):
+    """Global row index of local coords (i, j, k); x runs fastest."""
+    if not (0 <= i < dom.lnx and 0 <= j < dom.lny and 0 <= k < dom.lnz):
+        raise ValueError(f"local coords ({i},{j},{k}) outside "
+                         f"({dom.lnx},{dom.lny},{dom.lnz})")
+    return (dom.ox + i) + dom.gnx * ((dom.oy + j) + dom.gny * (dom.oz + k))
+
+
+def owns_global(dom, g):
+    gx, gy, gz = dom.global_coords(g)
+    return (dom.ox <= gx < dom.ox + dom.lnx
+            and dom.oy <= gy < dom.oy + dom.lny
+            and dom.oz <= gz < dom.oz + dom.lnz)
+
+
+def check_coloring(A, coloring):
+    """True iff no two locally coupled rows share a color."""
+    from mxpbench.coloring import _neighbors
+
+    c = np.append(coloring.color, -1)    # the sentinel n matches no color
+    return not np.any(c[_neighbors(A)] == c[:-1, None])
+
+
+def strip_timing(report):
+    """A benchmark report without the keys derived from measured time."""
+    import copy
+
+    from mxpbench.metrics import MOTIFS
+
+    out = copy.deepcopy(report)
+    for phase in ("mxp", "double"):
+        for motif in MOTIFS:
+            out[phase][motif].pop("seconds")
+            out[phase][motif].pop("gflops")
+            out[phase][motif].pop("gbytes_per_s")
+    for key in ("raw_gflops", "penalized_gflops", "speedup", "motif_speedup"):
+        out["summary"].pop(key)
+    return out
+
+
 def factor_triples(p):
     """All nondecreasing factor triples of p."""
     out = []

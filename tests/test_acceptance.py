@@ -15,7 +15,7 @@ from mxpbench.coloring import color, permute_system
 from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import gmres_solve, spmv
-from mxpbench.metrics import MOTIFS, count_bytes, count_flops, penalty_factor
+from mxpbench.metrics import count_bytes, count_flops, penalty_factor
 from mxpbench.multigrid import (
     build_hierarchy,
     fused_residual_restrict,
@@ -24,6 +24,7 @@ from mxpbench.problem import generate_matrix, to_low_precision
 from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
 
 from _oracles import (
+    check_coloring,
     dense_stencil_2d,
     ell_from_dense,
     restrict_inject,
@@ -34,6 +35,7 @@ from _oracles import (
     seq_prolong_add,
     seq_restrict_residual,
     seq_spmv,
+    strip_timing,
 )
 
 
@@ -241,7 +243,6 @@ def test_criterion_6_coloring():
     A2 = ell_from_dense(dense_stencil_2d(6, 6))
     greedy2 = color(A2, "greedy").num_colors
 
-    from mxpbench.coloring import check_coloring
     jpl_ok = all(check_coloring(A3, color(A3, "jpl", seed=s))
                  for s in range(100))
 
@@ -307,25 +308,11 @@ def test_criterion_7_flop_and_byte_model():
 # -- criterion 8 ---------------------------------------------------------------
 
 
-def _strip_timing(report):
-    import copy
-
-    out = copy.deepcopy(report)
-    for phase in ("mxp", "double"):
-        for motif in MOTIFS:
-            out[phase][motif].pop("seconds")
-            out[phase][motif].pop("gflops")
-            out[phase][motif].pop("gbytes_per_s")
-    for key in ("raw_gflops", "penalized_gflops", "speedup", "motif_speedup"):
-        out["summary"].pop(key)
-    return out
-
-
 def test_criterion_8_determinism_and_replication():
     cfg = BenchConfig(local_nx=8, local_ny=8, local_nz=8, ranks=1,
                       time_seconds=0.0)
-    first = _strip_timing(run_benchmark(cfg))
-    second = _strip_timing(run_benchmark(cfg))
+    first = strip_timing(run_benchmark(cfg))
+    second = strip_timing(run_benchmark(cfg))
     deterministic = first == second
 
     # Replicated solver state must agree bitwise across 8 ranks at every

@@ -2,14 +2,15 @@
 
 import numpy as np
 
-from mxpbench.coloring import (_jones_plassmann, _neighbors, check_coloring,
-                               color, permute_system)
+from mxpbench.coloring import (_jones_plassmann, _neighbors, color,
+                               permute_system)
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import generate_matrix, generate_rhs
 
-from _oracles import (dense_stencil_2d, dense_stencil_3d, ell_from_dense,
-                      ell_to_dense, greedy_color_dense, identity_coloring,
-                      jpl_color_sequential, local_adjacency, local_pattern)
+from _oracles import (check_coloring, dense_stencil_2d, dense_stencil_3d,
+                      ell_from_dense, ell_to_dense, greedy_color_dense,
+                      identity_coloring, jpl_color_sequential,
+                      local_adjacency, local_pattern)
 
 
 def _stencil_matrix(nx, ny, nz, ranks=1, rank=0):

@@ -10,7 +10,7 @@ from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.problem import generate_matrix
 
-from _oracles import seq_spmv
+from _oracles import local_to_global, seq_spmv
 
 
 def test_all_reduce_sum_fixed_order():
@@ -105,6 +105,15 @@ def _plan_worker(world, rank, gp):
     return dom, A, plan
 
 
+def _slot_globals(A):
+    """Global id held by each halo slot, read from A's rewritten columns."""
+    halo = A.col_idx >= A.n_rows
+    pairs = np.unique(np.stack([A.col_idx[halo], A.col_global[halo]]), axis=1)
+    slots, globs = pairs
+    assert np.array_equal(slots, np.arange(A.n_rows, A.n_cols_extended))
+    return globs
+
+
 def test_two_rank_face_plan():
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
@@ -112,41 +121,65 @@ def test_two_rank_face_plan():
         dom, A, plan = _plan_worker(world, rank, gp)
         other = 1 - rank
         assert plan.neighbors == [other]
-        assert plan.halo_size == 16                  # one 4x4 plane
-        assert plan.recv_counts[other] == 16
+        assert A.n_cols_extended - A.n_rows == 16    # one 4x4 plane
+        assert plan.recv_slices[other] == slice(A.n_rows, A.n_rows + 16)
         assert len(plan.send_rows[other]) == 16
-        assert plan.halo_offset == A.n_rows
-        assert A.n_cols_extended == A.n_rows + 16
         assert A.col_idx.max() < A.n_cols_extended
         # slots are assigned in ascending global order
-        slots = sorted(plan.slot_of_global.items())
-        assert [s for _, s in slots] == list(range(A.n_rows, A.n_rows + 16))
+        assert np.all(np.diff(_slot_globals(A)) > 0)
         return True
 
     assert all(RankWorld(2).run(worker))
 
 
-def test_exchange_delivers_global_ids():
+@pytest.mark.parametrize("ranks", [8, 27])
+def test_exchange_delivers_global_ids(ranks):
     # Fill each rank's owned entries with their global ids; after the
     # exchange every halo slot must hold exactly its own global id.
-    gp = GlobalProblem.from_local(4, 4, 4, 8)
+    gp = GlobalProblem.from_local(4, 4, 4, ranks)
 
     def worker(world, rank):
         dom, A, plan = _plan_worker(world, rank, gp)
-        assert len(plan.neighbors) == 7
         v = np.zeros(A.n_cols_extended)
         for k in range(dom.lnz):
             for j in range(dom.lny):
                 for i in range(dom.lnx):
-                    v[dom.local_index(i, j, k)] = dom.local_to_global(i, j, k)
+                    v[dom.local_index(i, j, k)] = local_to_global(dom, i, j, k)
         exchange(v, plan, world, rank)
-        for g, slot in plan.slot_of_global.items():
-            assert v[slot] == g
-        return plan.halo_size
+        globs = _slot_globals(A)
+        assert np.array_equal(v[A.n_rows:], globs)
+        # slots ascend by (owner rank, global id); the neighbors' receive
+        # slices tile the halo in order, each holding only its own columns
+        owners = dom.owner_rank(globs)
+        keys = list(zip(owners.tolist(), globs.tolist()))
+        assert keys == sorted(keys)
+        cols = np.arange(A.n_cols_extended)
+        tiled = [cols[plan.recv_slices[nb]] for nb in plan.neighbors]
+        assert np.array_equal(np.concatenate(tiled), cols[A.n_rows:])
+        for nb, slots in zip(plan.neighbors, tiled):
+            assert np.all(owners[slots - A.n_rows] == nb)
+        return len(plan.neighbors), A.n_cols_extended - A.n_rows
 
-    sizes = RankWorld(8).run(worker)
-    # corner blocks of a 2x2x2 decomposition: 3 faces + 3 edges + 1 corner
-    assert all(s == 3 * 16 + 3 * 4 + 1 for s in sizes)
+    outs = RankWorld(ranks).run(worker)
+    if ranks == 8:
+        # corner blocks of a 2x2x2 decomposition: 3 faces + 3 edges + 1 corner
+        assert all(o == (7, 3 * 16 + 3 * 4 + 1) for o in outs)
+    else:
+        # the centre of a 3x3x3 decomposition sees the whole 6^3 shell
+        assert outs[13] == (26, 6 ** 3 - 4 ** 3)
+
+
+def test_exchange_rejects_a_short_halo_message():
+    gp = GlobalProblem.from_local(4, 4, 4, 2)
+
+    def worker(world, rank):
+        dom, A, plan = _plan_worker(world, rank, gp)
+        if rank == 0:
+            plan.send_rows[1] = plan.send_rows[1][:-1]
+        exchange(np.zeros(A.n_cols_extended), plan, world, rank)
+
+    with pytest.raises(ProtocolError, match="got 15, expected 16"):
+        RankWorld(2).run(worker)
 
 
 def test_halo_plan_drops_arrays_derived_before_it():
@@ -202,7 +235,7 @@ def test_non_neighbor_column_raises_topology_error():
         if rank == 0:
             # rank 8 sits two steps away along z: not a geometric neighbor
             assert 8 not in dom.neighbor_ranks()
-            bad = gp.domain(8).local_to_global(0, 0, 0)
+            bad = local_to_global(gp.domain(8), 0, 0, 0)
             unresolved = np.argwhere(A.col_idx == -2)
             i, s = unresolved[0]
             A.col_global[i, s] = bad
@@ -218,6 +251,5 @@ def test_single_rank_plan_is_empty():
     A = generate_matrix(dom)
     plan = build_halo_plan(dom, A)
     assert plan.neighbors == []
-    assert plan.halo_size == 0
-    assert not plan.has_traffic
+    assert plan.send_rows == {} and plan.recv_slices == {}
     assert A.n_cols_extended == A.n_rows

@@ -5,7 +5,7 @@ import pytest
 
 from mxpbench.geometry import CoarseningError, GlobalProblem, factor_ranks
 
-from _oracles import best_factor
+from _oracles import best_factor, local_to_global, owns_global
 
 
 def test_factor_ranks_small_cases():
@@ -45,7 +45,7 @@ def test_domain_offsets_partition_the_grid():
         for k in range(d.lnz):
             for j in range(d.lny):
                 for i in range(d.lnx):
-                    seen[d.local_to_global(i, j, k)] += 1
+                    seen[local_to_global(d, i, j, k)] += 1
     assert np.all(seen == 1)    # every point owned exactly once
 
 
@@ -58,11 +58,22 @@ def test_local_global_roundtrip_random():
         i = int(rng.integers(d.lnx))
         j = int(rng.integers(d.lny))
         k = int(rng.integers(d.lnz))
-        g = d.local_to_global(i, j, k)
-        assert d.owns_global(g)
+        g = local_to_global(d, i, j, k)
+        assert owns_global(d, g)
         assert d.global_coords(g) == (d.ox + i, d.oy + j, d.oz + k)
         assert d.global_to_local(g) == d.local_index(i, j, k)
         assert d.owner_rank(g) == r
+
+
+def test_global_to_local_rejects_a_foreign_index():
+    gp = GlobalProblem.from_local(4, 4, 4, 2)
+    d0, d1 = gp.domain(0), gp.domain(1)
+    own = np.array([local_to_global(d0, i, 1, 2) for i in range(4)])
+    assert np.array_equal(d0.global_to_local(own),
+                          [d0.local_index(i, 1, 2) for i in range(4)])
+    foreign = local_to_global(d1, 0, 0, 0)
+    with pytest.raises(ValueError, match="not owned"):
+        d0.global_to_local(np.append(own, foreign))
 
 
 def test_owner_rank_consistent_across_ranks():
@@ -72,16 +83,16 @@ def test_owner_rank_consistent_across_ranks():
     for _ in range(100):
         g = int(rng.integers(gp.n_global))
         owner = d0.owner_rank(g)
-        assert gp.domain(owner).owns_global(g)
+        assert owns_global(gp.domain(owner), g)
 
 
 def test_local_to_global_is_x_fastest():
     gp = GlobalProblem.from_local(4, 4, 4, 1)
     d = gp.domain(0)
-    assert d.local_to_global(0, 0, 0) == 0
-    assert d.local_to_global(1, 0, 0) == 1
-    assert d.local_to_global(0, 1, 0) == 4
-    assert d.local_to_global(0, 0, 1) == 16
+    assert local_to_global(d, 0, 0, 0) == 0
+    assert local_to_global(d, 1, 0, 0) == 1
+    assert local_to_global(d, 0, 1, 0) == 4
+    assert local_to_global(d, 0, 0, 1) == 16
 
 
 def test_neighbor_counts():

@@ -8,9 +8,9 @@ from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
-from mxpbench.problem import generate_matrix, generate_rhs, to_low_precision
-from mxpbench.smoother import SingularDiagonal, SmootherWorkspace, \
-    forward_gs_sweep
+from mxpbench.problem import (SingularDiagonal, generate_matrix, generate_rhs,
+                              to_low_precision)
+from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
 
 from _oracles import ell_from_dense, seq_gs_sweep
 
