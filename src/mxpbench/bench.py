@@ -83,12 +83,12 @@ class BenchConfig:
             raise ConfigError("ranks must be at least 1")
         if self.restart < 1:
             raise ConfigError("restart length must be at least 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < 1:
+            raise ConfigError(f"tol = {self.tol} must lie in (0, 1)")
         if self.max_iters < 1 or self.nd_cap < 1:
             raise ConfigError("iteration caps must be at least 1")
-        if self.time_seconds < 0:
-            raise ConfigError("time_seconds must be non-negative")
+        if not 0 <= self.time_seconds < float("inf"):
+            raise ConfigError("time_seconds must be finite and non-negative")
         if self.validation_mode not in VALIDATION_MODES:
             raise ConfigError(f"unknown validation mode "
                               f"{self.validation_mode!r}")
@@ -117,7 +117,7 @@ def _build_state(cfg, nranks, world, rank):
     return hier, lv, vecs.b
 
 
-def _solve(cfg, hier, lv, b, world, rank, mode, tol, max_iters, tally=None):
+def _solve(cfg, hier, lv, b, world, rank, mode, tol, max_iters, tally):
     n = lv.A_hi.n_rows
     x0 = np.zeros(n)
 
@@ -136,7 +136,7 @@ def _validation_worker(world, rank, cfg, nranks):
     state = _build_state(cfg, nranks, world, rank)
     hier, lv, b = state
     dres = _solve(cfg, hier, lv, b, world, rank, "double",
-                  cfg.tol, cfg.nd_cap)
+                  cfg.tol, cfg.nd_cap, Tally())
     if cfg.validation_mode == "standard":
         if not dres.converged:
             raise ValidationError(
@@ -147,7 +147,8 @@ def _validation_worker(world, rank, cfg, nranks):
         # Full-scale rule: the double solve runs to min(cap, tol) and the
         # achieved residual becomes the mixed solve's target.
         target = dres.relres if not dres.converged else cfg.tol
-    mres = _solve(cfg, hier, lv, b, world, rank, "mixed", target, cfg.nd_cap)
+    mres = _solve(cfg, hier, lv, b, world, rank, "mixed", target, cfg.nd_cap,
+                  Tally())
     return dres, mres, state
 
 

@@ -29,7 +29,6 @@ mode checks that every step.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +137,7 @@ class SolveResult:
     workspace: GmresWorkspace = None
 
 
-def spmv(A, x, plan=None, world=None, rank=0, tally=None):
+def spmv(A, x, plan=None, world=None, rank=0, *, tally):
     """y = A @ x for a halo-tailed x; fixed per-row accumulation order.
 
     With neighbors, rows without halo columns are computed while the halo
@@ -146,8 +145,7 @@ def spmv(A, x, plan=None, world=None, rank=0, tally=None):
     changes a row's own accumulation order, so y is bitwise that of
     ``exchange`` followed by a call without a world.
     """
-    timer = tally.timed("SpMV") if tally is not None else nullcontext()
-    with timer:
+    with tally.timed("SpMV"):
         if world is not None and plan is not None and plan.neighbors:
             (rows_nh, v_nh, c_nh), (rows_h, v_h, c_h) = A.halo_packs()
             y = np.zeros(A.n_rows, dtype=x.dtype)
@@ -157,12 +155,11 @@ def spmv(A, x, plan=None, world=None, rank=0, tally=None):
             y[rows_h] = row_dot(v_h, c_h, x)
         else:
             y = row_dot(A.values, A.spmv_cols(), x)
-    if tally is not None:
-        tally.add("spmv", A.dtype, nnz=A.nnz_total, n=A.n_rows)
+    tally.add("spmv", A.dtype, nnz=A.nnz_total, n=A.n_rows)
     return y
 
 
-def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, tally=None,
+def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, *, tally,
                        recycle=None):
     """Two classical Gram-Schmidt passes of w against basis columns 0..k.
 
@@ -176,8 +173,7 @@ def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, tally=None,
     n = Q.shape[1]
     nv = 0 if recycle is None else recycle.nv
     rows = Q[:kb] if recycle is None else recycle.block[:nv + kb]
-    timer = tally.timed("Ortho") if tally is not None else nullcontext()
-    with timer:
+    with tally.timed("Ortho"):
         h_total = np.zeros(kb, dtype=Q.dtype)
         for _ in range(2):
             g = reduce_sum(world, rank, rows @ w)
@@ -189,8 +185,7 @@ def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, tally=None,
             w -= rows.T @ g
             H[:kb, k] += h
             h_total += h
-    if tally is not None:
-        tally.add("cgs2", Q.dtype, n=n, k=nv + kb)
+    tally.add("cgs2", Q.dtype, n=n, k=nv + kb)
     return h_total
 
 
@@ -249,8 +244,8 @@ def _assert_replicated(world, rank, ws):
 
 
 def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
-                max_iters=300, m=30, plan=None, world=None, rank=0,
-                tally=None, debug_replication=False, keep_basis=False):
+                max_iters=300, m=30, plan=None, world=None, rank=0, *,
+                tally, debug_replication=False, keep_basis=False):
     """Right-preconditioned restarted GMRES; restarts double as refinement steps.
 
     Every outer pass recomputes r = b - A x in float64, tests ||r||/||b||
@@ -266,7 +261,8 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     stalls keep that first pair.  Double mode never stalls, so its
     arithmetic is plain restarted GMRES.
     ``precond`` maps a residual-shaped vector to a correction in the vector's
-    own precision (None means identity).  Returns a SolveResult whose
+    own precision; every kernel charges ``tally``.  A zero ``b`` zeroes
+    ``x0`` and returns at once.  Returns a SolveResult whose
     ``boundary_pairs`` hold (recurrence norm, true norm) at each restart.
     With ``keep_basis`` its ``workspace`` holds the last cycle's basis in
     ``Q[:k+1]``, k = ``workspace.k`` being that cycle's iteration count;
@@ -290,26 +286,22 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
         x_t[:n] = x0
     z_t = np.zeros(A_in.n_cols_extended, dtype=dtype)
 
-    def timed(motif):
-        return tally.timed(motif) if tally is not None else nullcontext()
-
-    def count(kernel, dt, **kw):
-        if tally is not None:
-            tally.add(kernel, dt, **kw)
-
     def true_residual():
-        y = spmv(A_hi, x_t, plan, world, rank, tally)
-        with timed("Vector ops"):
+        y = spmv(A_hi, x_t, plan, world, rank, tally=tally)
+        with tally.timed("Vector ops"):
             r = b - y
             rho = float(np.sqrt(reduce_sum(world, rank, r @ r)))
-        count("vsub", np.float64, n=n)
-        count("norm", np.float64, n=n)
+        tally.add("vsub", np.float64, n=n)
+        tally.add("norm", np.float64, n=n)
         return r, rho
 
-    with timed("Vector ops"):
+    with tally.timed("Vector ops"):
         rho0 = float(np.sqrt(reduce_sum(world, rank, b @ b)))
-    count("norm", np.float64, n=n)
+    tally.add("norm", np.float64, n=n)
     if rho0 == 0.0:
+        # A is nonsingular, so x = 0 is the solution.
+        if x0 is not None:
+            x0[:] = 0
         return SolveResult(0, 0, 0.0, True, [], ws if keep_basis else None)
 
     total = 0
@@ -334,25 +326,25 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
         rp = ws.recycle
         if stalled and rp is None:
             rp = ws.keep_recycle_pair(stalled)
-        with timed("Vector ops"):
+        with tally.timed("Vector ops"):
             ws.Q[0] = r / rho
-        count("scale", np.float64, n=n)
+        tally.add("scale", np.float64, n=n)
         ws.t[:] = 0
         ws.t[0] = rho
         if rp is not None:
             # Start from (I - C C^T) r: one reduction for V q, one for the
             # norm of what is left (the difference ||q||^2 - ||C^T q||^2
             # could cancel to nothing when r lies almost in span C).
-            with timed("Ortho"):
+            with tally.timed("Ortho"):
                 q = ws.Q[0]
                 gv, c = rp.project(reduce_sum(world, rank, rp.V @ q))
                 q -= rp.V.T @ gv.astype(dtype)
                 beta = float(np.sqrt(reduce_sum(world, rank, q @ q)))
                 q /= beta
             for _ in range(2):      # V q, then V^T (Q_G C^T q)
-                count("gemv_update", dtype, n=n, k=rp.nv)
-            count("norm", dtype, motif="Ortho", n=n)
-            count("scale", dtype, motif="Ortho", n=n)
+                tally.add("gemv_update", dtype, n=n, k=rp.nv)
+            tally.add("norm", dtype, motif="Ortho", n=n)
+            tally.add("scale", dtype, motif="Ortho", n=n)
             rp.ctr = rho * c
             rp.B[:] = 0
             ws.t[0] = rho * beta
@@ -366,19 +358,19 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
 
         while (k < m and total < max_iters and rho_rec / rho0 >= tol
                and rho_rec >= floor):
-            zv = precond(ws.Q[k]) if precond is not None else ws.Q[k]
-            z_t[:n] = zv
-            w = spmv(A_in, z_t, plan, world, rank, tally)
-            cgs2_orthogonalize(ws.Q, k, w, ws.H, world, rank, tally, rp)
-            with timed("Ortho"):
+            z_t[:n] = precond(ws.Q[k])
+            w = spmv(A_in, z_t, plan, world, rank, tally=tally)
+            cgs2_orthogonalize(ws.Q, k, w, ws.H, world, rank, tally=tally,
+                               recycle=rp)
+            with tally.timed("Ortho"):
                 beta = np.sqrt(reduce_sum(world, rank, w @ w))
                 ws.H[k + 1, k] = beta
                 if beta != 0:
                     ws.Q[k + 1] = w / beta
                 else:
                     ws.Q[k + 1] = 0
-            count("norm", dtype, motif="Ortho", n=n)
-            count("scale", dtype, motif="Ortho", n=n)
+            tally.add("norm", dtype, motif="Ortho", n=n)
+            tally.add("scale", dtype, motif="Ortho", n=n)
             ws.Hu[:k + 2, k] = ws.H[:k + 2, k]
             try:
                 rho_rec = givens_update(ws.H, ws.t, ws.c, ws.s, k)
@@ -393,7 +385,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
 
         if k > 0:
             yk = _back_substitute(ws.H, ws.t, k)
-            with timed("Ortho"):
+            with tally.timed("Ortho"):
                 if rp is None:
                     ru = ws.Q[:k].T @ yk.astype(dtype)
                 else:
@@ -402,12 +394,12 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
                                          rp.nv - 1)
                     coef = np.concatenate([u, [0.0], yk]).astype(dtype)
                     ru = rp.block[:rp.nv + k].T @ coef
-            count("gemv_update", dtype, n=n,
-                  k=k if rp is None else rp.nv + k)
-            zu = precond(ru) if precond is not None else ru
-            with timed("Vector ops"):
+            tally.add("gemv_update", dtype, n=n,
+                      k=k if rp is None else rp.nv + k)
+            zu = precond(ru)
+            with tally.timed("Vector ops"):
                 x_t[:n] += zu
-            count("vadd", np.float64, n=n)
+            tally.add("vadd", np.float64, n=n)
         cycles += 1
         last_rec = rho_rec
         if not stalled and k < m and rho_rec < floor:

@@ -12,9 +12,7 @@ request smooths on the float32 matrix copy at every level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +33,6 @@ class MgLevel:
     f2c: np.ndarray = None      # coarse row -> row of the parent (finer) level
     z_hi: np.ndarray = None
     z_lo: np.ndarray = None
-    r_hi: np.ndarray = None
-    r_lo: np.ndarray = None
 
 
 @dataclass
@@ -46,8 +42,11 @@ class MgHierarchy:
     world: object = None
     rank: int = 0
 
-    def apply(self, r, tally=None):
-        """One V-cycle from the finest level; precision follows r's dtype."""
+    def apply(self, r, tally):
+        """One V-cycle from the finest level; precision follows r's dtype.
+
+        Every kernel of the cycle charges its time and work to ``tally``.
+        """
         return mg_vcycle(self, 0, r, tally)
 
 
@@ -72,8 +71,6 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
                         coloring=col, plan=plan)
         level.z_hi = np.zeros(A.n_cols_extended)
         level.z_lo = np.zeros(A.n_cols_extended, dtype=np.float32)
-        level.r_hi = np.zeros(A.n_rows)
-        level.r_lo = np.zeros(A.n_rows, dtype=np.float32)
         if lev > 0:
             parent = out[-1]
             level.f2c = _injection_map(dom, parent.domain,
@@ -99,37 +96,29 @@ def _injection_map(coarse_dom, fine_dom, coarse_perm, fine_iperm):
     return fine_iperm[f_nat[coarse_perm]]
 
 
-def fused_residual_restrict(A_f, b_f, x_f, f2c, out=None, tally=None):
-    """r_c[i] = b_f[f2c(i)] - (A_f @ x_f)[f2c(i)], computed only at those rows.
+def fused_residual_restrict(A_f, b_f, x_f, f2c, tally):
+    """Return r_c[i] = b_f[f2c(i)] - (A_f @ x_f)[f2c(i)], computed only there.
 
     ``x_f`` must have a fresh halo tail.  ``A_f`` packs the ``f2c`` rows on
     the first call and takes no other ``f2c`` array after it.  Bitwise equal
     to restricting the full residual because each row accumulates in the
-    same fixed order.
+    same fixed order.  The new coarse residual has ``b_f``'s dtype.
     """
-    timer = tally.timed("Restriction") if tally is not None else nullcontext()
-    with timer:
-        y = row_dot(*A_f.packed("f2c", f2c), x_f)
-        r_c = b_f[f2c] - y
-        if out is not None:
-            out[:] = r_c
-            r_c = out
-    if tally is not None:
-        tally.add("restrict_fused", A_f.dtype,
-                  nnz=int(A_f.row_nnz[f2c].sum()), n_c=len(f2c))
+    with tally.timed("Restriction"):
+        r_c = b_f[f2c] - row_dot(*A_f.packed("f2c", f2c), x_f)
+    tally.add("restrict_fused", A_f.dtype,
+              nnz=int(A_f.row_nnz[f2c].sum()), n_c=len(f2c))
     return r_c
 
 
-def prolong_add(x_f, x_c, f2c, tally=None):
+def prolong_add(x_f, x_c, f2c, tally):
     """Scatter-add the coarse correction into the fine iterate (P = R^T)."""
-    timer = tally.timed("Prolongation") if tally is not None else nullcontext()
-    with timer:
+    with tally.timed("Prolongation"):
         x_f[f2c] += x_c
-    if tally is not None:
-        tally.add("prolong_add", x_f.dtype, n_c=len(f2c))
+    tally.add("prolong_add", x_f.dtype, n_c=len(f2c))
 
 
-def mg_vcycle(h, level, r, tally=None):
+def mg_vcycle(h, level, r, tally):
     """One V-cycle on ``r`` with zero initial guess; returns the owned view of z.
 
     Pre-smooth, restrict the smoothed residual, recurse (the coarsest level
@@ -152,11 +141,10 @@ def mg_vcycle(h, level, r, tally=None):
         return z[:n]
 
     exchange(z, lv.plan, h.world, h.rank)
-    nxt = h.levels[level + 1]
-    rc = nxt.r_lo if lo else nxt.r_hi
-    fused_residual_restrict(A, r, z, nxt.f2c, out=rc, tally=tally)
+    f2c = h.levels[level + 1].f2c
+    rc = fused_residual_restrict(A, r, z, f2c, tally)
     zc = mg_vcycle(h, level + 1, rc, tally)
-    prolong_add(z, zc, nxt.f2c, tally=tally)
+    prolong_add(z, zc, f2c, tally)
     for _ in range(sw.nu2):
         forward_gs_sweep(A, r, z, lv.coloring, lv.plan, h.world, h.rank,
                          tally=tally)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from contextlib import nullcontext
-
 # ``exchange`` stays bound here, unused: perfbench/test_perfbench.py checks
 # that its tracer wraps ``smoother.exchange``.
 from .comm import exchange, exchange_overlapped  # noqa: F401
@@ -46,7 +44,7 @@ def _relax(z, r, rows, vals, cols, diag):
 
 
 def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
-                     z_is_zero=False, tally=None):
+                     z_is_zero=False, *, tally):
     """One forward sweep: z_i <- (r_i - sum_{j!=i} a_ij z_j) / a_ii, color by color.
 
     ``z`` must carry the halo tail.  When ``z_is_zero`` the caller asserts the
@@ -54,13 +52,12 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
     Otherwise, with neighbors, the first color's rows without halo columns
     are updated while the halo messages are in flight and its other rows once
     they land; the result is bitwise that of ``exchange`` followed by a sweep
-    without a world.
+    without a world.  The sweep's time and work go to ``tally``.
     """
     vals, cols, diag = A.values, A.spmv_cols(), A.diagonal()
     offsets = coloring.color_offsets
-    timer = tally.timed("GS") if tally is not None else nullcontext()
 
-    with timer:
+    with tally.timed("GS"):
         first = 0
         if z_is_zero:
             z[:] = 0
@@ -74,5 +71,4 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
         for c in range(first, coloring.num_colors):
             lo, hi = int(offsets[c]), int(offsets[c + 1])
             _relax(z, r, slice(lo, hi), vals[lo:hi], cols[lo:hi], diag)
-    if tally is not None:
-        tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)
+    tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)

@@ -15,7 +15,7 @@ from mxpbench.coloring import color, permute_system
 from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import gmres_solve, spmv
-from mxpbench.metrics import count_bytes, count_flops, penalty_factor
+from mxpbench.metrics import Tally, count_bytes, count_flops, penalty_factor
 from mxpbench.multigrid import (
     build_hierarchy,
     fused_residual_restrict,
@@ -58,12 +58,14 @@ def _desk_hierarchy(nx=16):
 
 def _desk_solve(mode, tol=1e-9, m=30, max_iters=300, keep_basis=False):
     hier, lv, b = _desk_hierarchy()
+    tally = Tally()
 
     def precond(r):
-        return hier.apply(r)
+        return hier.apply(r, tally)
 
     return gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode, tol=tol,
-                       m=m, max_iters=max_iters, keep_basis=keep_basis)
+                       m=m, max_iters=max_iters, tally=tally,
+                       keep_basis=keep_basis)
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -78,14 +80,14 @@ def test_criterion_1_oracle_equivalence():
     x = np.zeros(A.n_cols_extended)
     x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
     y_ref, _ = seq_spmv(A.values, A.col_idx, x)
-    spmv_ok = np.array_equal(spmv(A, x), y_ref)
+    spmv_ok = np.array_equal(spmv(A, x, tally=Tally()), y_ref)
 
     # Multicolor GS sweep against sequential GS on the permuted matrix.
     c = color(A, "greedy")
     Ap, _ = permute_system(A, [], c)
     r = rng.integers(-9, 10, size=Ap.n_rows).astype(np.float64)
     z = np.zeros(Ap.n_cols_extended)
-    forward_gs_sweep(Ap, r, z, c, z_is_zero=True)
+    forward_gs_sweep(Ap, r, z, c, z_is_zero=True, tally=Tally())
     z_ref = np.zeros(Ap.n_cols_extended)
     seq_gs_sweep(Ap.values, Ap.col_idx, Ap.diag_pos, r, z_ref)
     gs_ok = np.array_equal(z, z_ref)
@@ -98,8 +100,8 @@ def test_criterion_1_oracle_equivalence():
     xf = np.zeros(Af.n_cols_extended)
     xf[: Af.n_rows] = rng.integers(-9, 10, size=Af.n_rows).astype(np.float64)
     bf = rng.integers(-9, 10, size=Af.n_rows).astype(np.float64)
-    fused = fused_residual_restrict(Af, bf, xf, f2c)
-    unfused = restrict_inject(bf - spmv(Af, xf), f2c)
+    fused = fused_residual_restrict(Af, bf, xf, f2c, tally=Tally())
+    unfused = restrict_inject(bf - spmv(Af, xf, tally=Tally()), f2c)
     fused_ok = np.array_equal(fused, unfused)
 
     # Overlapped vs blocking halo exchange for SpMV and GS, 8 ranks of 4^3.
@@ -119,8 +121,9 @@ def test_criterion_1_oracle_equivalence():
         # without a world (a fresh halo, then every row).
         x_block = xv.copy()
         exchange(x_block, plan, world, rank)
-        spmv_same = np.array_equal(spmv(Al, xv.copy(), plan, world, rank),
-                                   spmv(Al, x_block))
+        spmv_same = np.array_equal(
+            spmv(Al, xv.copy(), plan, world, rank, tally=Tally()),
+            spmv(Al, x_block, tally=Tally()))
 
         rv = lrng.integers(-9, 10, size=Al.n_rows).astype(np.float64)
         z_over = np.zeros(Al.n_cols_extended)
@@ -128,9 +131,9 @@ def test_criterion_1_oracle_equivalence():
         z_over[: Al.n_rows] = xv[: Al.n_rows]
         z_block[: Al.n_rows] = xv[: Al.n_rows]
         forward_gs_sweep(Al, rv, z_over, cl, plan=plan, world=world,
-                         rank=rank)
+                         rank=rank, tally=Tally())
         exchange(z_block, plan, world, rank)
-        forward_gs_sweep(Al, rv, z_block, cl)
+        forward_gs_sweep(Al, rv, z_block, cl, tally=Tally())
         return spmv_same and np.array_equal(z_over, z_block)
 
     overlap_ok = all(RankWorld(8).run(worker))
@@ -322,15 +325,17 @@ def test_criterion_8_determinism_and_replication():
 
     def worker(world, rank):
         hier, lv, b = _build_state(rcfg, 8, world, rank)
+        tally = Tally()
 
         def precond(r):
-            return hier.apply(r)
+            return hier.apply(r, tally)
 
         out = []
         for mode in ("double", "mixed"):
             res = gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode,
                               tol=1e-9, m=rcfg.restart, plan=lv.plan,
-                              world=world, rank=rank, debug_replication=True)
+                              world=world, rank=rank, tally=tally,
+                              debug_replication=True)
             out.append((res.converged, res.iterations))
         return out
 
@@ -359,7 +364,7 @@ def test_criterion_9_multirank_consistency():
     x_global = rng.integers(-9, 10, size=n_global).astype(np.float64)
     x1 = np.zeros(A1.n_cols_extended)
     x1[:n_global] = x_global
-    y_global = spmv(A1, x1)
+    y_global = spmv(A1, x1, tally=Tally())
 
     gp = GlobalProblem.from_local(16, 16, 16, 8)
 
@@ -372,7 +377,7 @@ def test_criterion_9_multirank_consistency():
         gids = A.col_global[np.arange(A.n_rows), A.diag_pos]
         x = np.zeros(A.n_cols_extended)
         x[: A.n_rows] = x_global[gids]
-        y = spmv(A, x, plan, world, rank)
+        y = spmv(A, x, plan, world, rank, tally=Tally())
         return np.array_equal(y, y_global[gids])
 
     spmv_ok = all(RankWorld(8).run(spmv_worker))
@@ -383,15 +388,16 @@ def test_criterion_9_multirank_consistency():
 
     def solve_worker(world, rank):
         hier, lv, b = _build_state(cfg, 8, world, rank)
+        tally = Tally()
 
         def precond(r):
-            return hier.apply(r)
+            return hier.apply(r, tally)
 
         out = []
         for mode in ("double", "mixed"):
             res = gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode,
                               tol=1e-9, m=cfg.restart, plan=lv.plan,
-                              world=world, rank=rank)
+                              world=world, rank=rank, tally=tally)
             out.append((res.converged, res.relres < 1e-9))
         return out
 

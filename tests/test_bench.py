@@ -53,6 +53,14 @@ def test_default_config_is_valid():
     {"nu2": 0},
     {"nu_c": 0},
     {"mg_levels": 0},
+    # Explicit ids from here on, so a case added or removed above renames
+    # none of these.
+    pytest.param({"tol": 1.0}, id="tol=1"),
+    pytest.param({"tol": 2.0}, id="tol=2"),
+    pytest.param({"tol": float("inf")}, id="tol=inf"),
+    pytest.param({"tol": float("nan")}, id="tol=nan"),
+    pytest.param({"time_seconds": float("inf")}, id="time_seconds=inf"),
+    pytest.param({"time_seconds": float("nan")}, id="time_seconds=nan"),
 ])
 def test_invalid_configs_rejected(overrides):
     cfg = BenchConfig(**overrides)
@@ -94,6 +102,21 @@ def test_validation_reports_raw_unclamped_ratio():
 def test_validation_fails_when_reference_cannot_converge():
     with pytest.raises(ValidationError):
         run_validation(_tiny_cfg(nd_cap=2))
+
+
+def test_validation_solves_charge_their_tally(monkeypatch):
+    tallies = []
+    real = bench._solve
+
+    def capturing(*args):
+        tallies.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(bench, "_solve", capturing)
+    run_validation(_tiny_cfg())
+    assert len(tallies) == 2            # the double and the mixed solve
+    for tally in tallies:
+        assert tally.flops["GS"] > 0
 
 
 # -- full benchmark and report contract ----------------------------------------
@@ -229,6 +252,11 @@ def test_cli_prints_report_without_path(capsys):
 def test_cli_rejects_bad_geometry(capsys):
     code = main(["--local-nx", "12", "--local-ny", "8", "--local-nz", "8"])
     assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_rejects_tol_outside_unit_interval(capsys):
+    assert main(_cli("--tol", "2")) == 2
     assert "configuration error" in capsys.readouterr().err
 
 

@@ -8,6 +8,7 @@ from mxpbench.comm import (ProtocolError, RankWorld, TopologyError,
                            build_halo_plan, exchange, exchange_overlapped)
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
+from mxpbench.metrics import Tally
 from mxpbench.problem import generate_matrix
 
 from _oracles import local_to_global, seq_spmv
@@ -195,9 +196,10 @@ def test_halo_plan_drops_arrays_derived_before_it():
         rng = np.random.default_rng(40 + rank)
         x = np.zeros(A.n_cols_extended)
         x[:A.n_rows] = rng.standard_normal(A.n_rows)
-        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank)
+        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank,
+                      tally=Tally())
         exchange(x, plan, world, rank)
-        y_plain = spmv(A, x)
+        y_plain = spmv(A, x, tally=Tally())
         y_ref, _ = seq_spmv(A.values, A.col_idx, x)
         return (y_over.tobytes() == y_ref.tobytes()
                 and y_plain.tobytes() == y_ref.tobytes())

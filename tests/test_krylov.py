@@ -38,7 +38,7 @@ def test_spmv_matches_sequential_oracle_bitwise():
     rng = np.random.default_rng(3)
     x = np.zeros(A.n_cols_extended)
     x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
-    y = spmv(A, x)
+    y = spmv(A, x, tally=Tally())
     y_ref, _ = seq_spmv(A.values, A.col_idx, x)
     assert np.array_equal(y, y_ref)
 
@@ -55,11 +55,12 @@ def test_spmv_overlapped_matches_blocking_on_eight_ranks():
         rng = np.random.default_rng(100 + rank)
         x = np.zeros(A.n_cols_extended)
         x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
-        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank)
+        y_over = spmv(A, x.copy(), plan=plan, world=world, rank=rank,
+                      tally=Tally())
         # Blocking reference: a fresh halo, then every row.
         x_block = x.copy()
         exchange(x_block, plan, world, rank)
-        y_block = spmv(A, x_block)
+        y_block = spmv(A, x_block, tally=Tally())
         return np.array_equal(y_over, y_block)
 
     world = RankWorld(8)
@@ -75,7 +76,7 @@ def test_cgs2_orthogonalizes_against_basis():
     H = np.zeros((m + 1, m))
     for k in range(4):
         w = rng.standard_normal(n)
-        cgs2_orthogonalize(Q, k, w, H)
+        cgs2_orthogonalize(Q, k, w, H, tally=Tally())
         # After two passes of classical Gram-Schmidt the result is orthogonal
         # to every basis vector at working precision.
         assert np.max(np.abs(Q[: k + 1] @ w)) <= 1e-14 * np.linalg.norm(w)
@@ -91,7 +92,7 @@ def test_cgs2_coefficients_reproduce_projection():
     w = rng.standard_normal(n)
     w_orig = w.copy()
     H = np.zeros((3, 2))
-    h = cgs2_orthogonalize(Q, 0, w, H)
+    h = cgs2_orthogonalize(Q, 0, w, H, tally=Tally())
     # w_orig == w + h[0] * Q[0] up to roundoff.
     assert np.allclose(w + h[0] * Q[0], w_orig, rtol=0.0, atol=1e-14)
     assert H[0, 0] == h[0]
@@ -136,22 +137,23 @@ def test_back_substitute_matches_dense_solve():
     assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
 
-def _solve(nx, ny, nz, mode, m=30, tol=1e-9, max_iters=300, precond=None,
-           keep_basis=False, b=None, x0=None):
+def _solve(nx, ny, nz, mode, m=30, tol=1e-9, max_iters=300,
+           precond=lambda r: r, keep_basis=False, b=None, x0=None):
     A, vecs = _single_rank_system(nx, ny, nz)
     A_lo = to_low_precision(A)
     if b is None:
         b = vecs.b
     return A, gmres_solve(A, A_lo, precond, b, x0=x0, mode=mode, tol=tol,
-                          max_iters=max_iters, m=m, keep_basis=keep_basis)
+                          max_iters=max_iters, m=m, tally=Tally(),
+                          keep_basis=keep_basis)
 
 
 def test_restarted_solve_converges():
     # A short restart length forces several cycles on a random rhs.
     A, vecs = _single_rank_system(4, 4, 4)
     b = np.random.default_rng(42).standard_normal(A.n_rows)
-    res = gmres_solve(A, to_low_precision(A), None, b, mode="double",
-                      tol=1e-10, m=5)
+    res = gmres_solve(A, to_low_precision(A), lambda r: r, b, mode="double",
+                      tol=1e-10, m=5, tally=Tally())
     assert res.converged
     assert res.restarts == 4
     assert res.iterations == 18
@@ -165,7 +167,8 @@ def test_solution_vector_matches_all_ones():
     A_lo = to_low_precision(A)
     vecs = generate_rhs(A)
     x0 = np.zeros(A.n_cols_extended)
-    res = gmres_solve(A, A_lo, None, vecs.b, x0=x0, mode="double", tol=1e-12)
+    res = gmres_solve(A, A_lo, lambda r: r, vecs.b, x0=x0, mode="double",
+                      tol=1e-12, tally=Tally())
     assert res.converged
     assert np.allclose(x0[: A.n_rows], np.ones(A.n_rows), rtol=0.0, atol=1e-10)
 
@@ -174,8 +177,8 @@ def test_full_subspace_is_exact_in_at_most_n_iterations():
     # With m == n the Krylov space is exhausted in a single cycle.
     A, _ = _single_rank_system(2, 2, 2)
     b = np.random.default_rng(7).standard_normal(A.n_rows)
-    res = gmres_solve(A, to_low_precision(A), None, b, mode="double",
-                      tol=1e-12, m=8)
+    res = gmres_solve(A, to_low_precision(A), lambda r: r, b, mode="double",
+                      tol=1e-12, m=8, tally=Tally())
     assert res.converged
     assert res.restarts == 1
     assert res.iterations <= 8
@@ -183,10 +186,13 @@ def test_full_subspace_is_exact_in_at_most_n_iterations():
 
 
 def test_zero_rhs_returns_immediately():
-    A, res = _solve(2, 2, 2, "double", b=np.zeros(8))
+    x0 = np.ones(8)
+    A, res = _solve(2, 2, 2, "double", b=np.zeros(8), x0=x0)
     assert res.converged
     assert res.iterations == 0
     assert res.relres == 0.0
+    # A is nonsingular, so the solution of A x = 0 is x = 0.
+    assert not x0.any()
 
 
 def test_exact_initial_guess_returns_immediately():
@@ -196,7 +202,8 @@ def test_exact_initial_guess_returns_immediately():
     vecs = generate_rhs(A)
     x0 = np.zeros(A.n_cols_extended)
     x0[: A.n_rows] = 1.0
-    res = gmres_solve(A, A_lo, None, vecs.b, x0=x0, mode="double")
+    res = gmres_solve(A, A_lo, lambda r: r, vecs.b, x0=x0, mode="double",
+                      tally=Tally())
     assert res.converged
     assert res.iterations == 0
     assert res.relres == 0.0
@@ -205,7 +212,8 @@ def test_exact_initial_guess_returns_immediately():
 def test_unknown_mode_rejected():
     A, _ = _single_rank_system(2, 2, 2)
     with pytest.raises(ValueError, match="unknown mode"):
-        gmres_solve(A, to_low_precision(A), None, np.ones(8), mode="mxp")
+        gmres_solve(A, to_low_precision(A), lambda r: r, np.ones(8),
+                    mode="mxp", tally=Tally())
 
 
 def _preconditioned_solve(mode, tol=1e-9, m=30, max_iters=300,
@@ -215,11 +223,14 @@ def _preconditioned_solve(mode, tol=1e-9, m=30, max_iters=300,
     lv = hier.levels[0]
     b = lv.A_hi.values.sum(axis=1)
 
-    def precond(r, tally=None):
-        return hier.apply(r, tally=tally)
+    tally = Tally()
+
+    def precond(r):
+        return hier.apply(r, tally)
 
     return gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode, tol=tol,
-                       m=m, max_iters=max_iters, keep_basis=keep_basis)
+                       m=m, max_iters=max_iters, tally=tally,
+                       keep_basis=keep_basis)
 
 
 def test_iteration_counts_are_reproducible_double():
@@ -274,7 +285,7 @@ def test_solver_tally_covers_expected_motifs():
 def test_unpreconditioned_tally_has_no_multigrid_motifs():
     A, vecs = _single_rank_system(4, 4, 4)
     tally = Tally()
-    res = gmres_solve(A, to_low_precision(A), None, vecs.b, tol=1e-9,
+    res = gmres_solve(A, to_low_precision(A), lambda r: r, vecs.b, tol=1e-9,
                       tally=tally)
     assert res.converged
     assert tally.flops["GS"] == 0
@@ -299,8 +310,9 @@ def desk():
 def _desk_solve(desk, mode, **kw):
     hier, lv, b = desk
     x = np.zeros(lv.A_hi.n_rows)
-    res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r), b, x0=x,
-                      mode=mode, **kw)
+    tally = Tally()
+    res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r, tally), b,
+                      x0=x, mode=mode, tally=tally, **kw)
     return res, x
 
 
@@ -325,7 +337,7 @@ def test_cgs2_with_recycle_pair_projects_out_c_and_records_b():
     w = rng.standard_normal(n)
     w_orig = w.copy()
     H = np.zeros((m + 1, m))
-    h = cgs2_orthogonalize(Q, 0, w, H, recycle=rp)
+    h = cgs2_orthogonalize(Q, 0, w, H, tally=Tally(), recycle=rp)
     assert np.max(np.abs(C.T @ w)) <= 1e-14 * np.linalg.norm(w_orig)
     assert abs(Q[0] @ w) <= 1e-14 * np.linalg.norm(w_orig)
     # w_orig == w + C B[:, 0] + h[0] Q[0] up to roundoff.
@@ -354,8 +366,8 @@ def test_recycle_pair_spans_a_m_u_equals_c(desk):
     bound = 8 * EPS32 * np.linalg.cond(rp.RG)
     z = np.zeros(lv.A_lo.n_cols_extended, dtype=np.float32)
     for j in range(k):
-        z[:lv.A_lo.n_rows] = hier.apply(U[:, j].astype(np.float32))
-        amu = spmv(lv.A_lo, z).astype(np.float64)
+        z[:lv.A_lo.n_rows] = hier.apply(U[:, j].astype(np.float32), Tally())
+        amu = spmv(lv.A_lo, z, tally=Tally()).astype(np.float64)
         assert np.linalg.norm(amu - C[:, j]) <= bound
 
 

@@ -81,13 +81,13 @@ def test_prolong_restrict_roundtrip():
     rng = np.random.default_rng(11)
     x_c = rng.standard_normal(coarse.A_hi.n_rows)
     x_f = np.zeros(fine.A_hi.n_cols_extended)
-    prolong_add(x_f, x_c, coarse.f2c)
+    prolong_add(x_f, x_c, coarse.f2c, tally=Tally())
     # Injection is the exact right-inverse of prolongation.
     assert np.array_equal(restrict_inject(x_f, coarse.f2c), x_c)
     # prolong_add touches exactly the injection slots.
     assert np.count_nonzero(x_f) == len(x_c)
     # A second prolongation accumulates instead of overwriting.
-    prolong_add(x_f, x_c, coarse.f2c)
+    prolong_add(x_f, x_c, coarse.f2c, tally=Tally())
     assert np.array_equal(restrict_inject(x_f, coarse.f2c), 2.0 * x_c)
 
 
@@ -102,13 +102,13 @@ def _cached_arrays(obj):
 def test_both_precisions_share_one_stored_operator_per_level():
     h = _hierarchy(16, 16, 16, 4)
     for dtype in (np.float64, np.float32):
-        h.apply(np.ones(h.levels[0].A_hi.n_rows, dtype=dtype))
+        h.apply(np.ones(h.levels[0].A_hi.n_rows, dtype=dtype), Tally())
         for lv in h.levels:
             A = lv.A_lo if dtype == np.float32 else lv.A_hi
             z = np.zeros(A.n_cols_extended, dtype=dtype)
             forward_gs_sweep(A, np.ones(A.n_rows, dtype=dtype), z,
-                             lv.coloring, z_is_zero=True)
-            spmv(A, z)
+                             lv.coloring, z_is_zero=True, tally=Tally())
+            spmv(A, z, tally=Tally())
     for lv in h.levels:
         assert lv.A_lo.spmv_cols() is lv.A_hi.spmv_cols()
         for A in (lv.A_hi, lv.A_lo):
@@ -128,7 +128,8 @@ def test_kernel_arrays_are_column_major_in_both_precisions():
         h = build_hierarchy(gp.domain(rank), 3, world, rank)
         n = h.levels[0].A_hi.n_rows
         for dtype in (np.float64, np.float32):
-            h.apply(np.ones(n, dtype=dtype))  # packs the halo and f2c rows
+            # packs the halo and f2c rows
+            h.apply(np.ones(n, dtype=dtype), Tally())
         arrays = []
         for fine, coarse in zip(h.levels, h.levels[1:] + [None]):
             for A in (fine.A_hi, fine.A_lo):
@@ -142,18 +143,21 @@ def test_kernel_arrays_are_column_major_in_both_precisions():
     assert RankWorld(2).run(worker) == [[], []]
 
 
-def test_fused_residual_restrict_matches_unfused():
+@pytest.mark.parametrize("which", ["A_hi", "A_lo"])   # float64, float32
+def test_fused_residual_restrict_matches_unfused(which):
     h = _hierarchy(8, 8, 8, 3)
     fine, coarse = h.levels[0], h.levels[1]
-    A = fine.A_hi
+    A = getattr(fine, which)
     rng = np.random.default_rng(5)
-    x = np.zeros(A.n_cols_extended)
+    x = np.zeros(A.n_cols_extended, dtype=A.dtype)
     x[: A.n_rows] = rng.standard_normal(A.n_rows)
-    b = rng.standard_normal(A.n_rows)
+    b = rng.standard_normal(A.n_rows).astype(A.dtype)
 
-    r_c = fused_residual_restrict(A, b, x, coarse.f2c)
-    y = spmv(A, x)
+    r_c = fused_residual_restrict(A, b, x, coarse.f2c, tally=Tally())
+    y = spmv(A, x, tally=Tally())
     r_ref = restrict_inject(b - y, coarse.f2c)
+    # The V-cycle recurses on the returned array, so it keeps b's precision.
+    assert r_c.dtype == b.dtype
     assert np.array_equal(r_c, r_ref)
 
 
@@ -162,8 +166,8 @@ def test_vcycle_scaling_by_power_of_two_is_exact():
     rng = np.random.default_rng(0)
     r = rng.standard_normal(16**3)
     # apply() reuses workspace storage, so copy before the next call.
-    z = h.apply(r).copy()
-    z2 = h.apply(2.0 * r).copy()
+    z = h.apply(r, Tally()).copy()
+    z2 = h.apply(2.0 * r, Tally()).copy()
     assert np.array_equal(z2, 2.0 * z)
 
 
@@ -172,8 +176,9 @@ def test_vcycle_is_linear():
     rng = np.random.default_rng(0)
     r1 = rng.standard_normal(16**3)
     r2 = rng.standard_normal(16**3)
-    za = h.apply(0.3 * r1 + 1.7 * r2).copy()
-    zb = 0.3 * h.apply(r1).copy() + 1.7 * h.apply(r2).copy()
+    za = h.apply(0.3 * r1 + 1.7 * r2, Tally()).copy()
+    zb = (0.3 * h.apply(r1, Tally()).copy()
+          + 1.7 * h.apply(r2, Tally()).copy())
     assert np.linalg.norm(za - zb) <= 1e-12 * np.linalg.norm(za)
 
 
@@ -181,8 +186,8 @@ def test_vcycle_low_and_high_precision_agree():
     h = _hierarchy(16, 16, 16, 4)
     rng = np.random.default_rng(0)
     r = rng.standard_normal(16**3)
-    z_hi = h.apply(r).copy()
-    z_lo = h.apply(r.astype(np.float32)).copy()
+    z_hi = h.apply(r, Tally()).copy()
+    z_lo = h.apply(r.astype(np.float32), Tally()).copy()
     assert z_lo.dtype == np.float32
     rel = np.linalg.norm(z_hi - z_lo.astype(np.float64)) / np.linalg.norm(z_hi)
     assert rel <= 5e-7
@@ -192,10 +197,10 @@ def test_vcycle_reduces_residual():
     h = _hierarchy(8, 8, 8, 4)
     A = h.levels[0].A_hi
     b = A.values.sum(axis=1)  # rhs whose exact solution is all ones
-    z = h.apply(b).copy()
+    z = h.apply(b, Tally()).copy()
     x = np.zeros(A.n_cols_extended)
     x[: A.n_rows] = z
-    r_new = b - spmv(A, x)
+    r_new = b - spmv(A, x, tally=Tally())
     assert np.linalg.norm(r_new) / np.linalg.norm(b) < 0.5
 
 
@@ -234,7 +239,7 @@ def test_sweep_counts_are_plumbed_through():
     gs_expect += 3 * 2 * h.levels[-1].A_hi.nnz_total
     assert tally.flops["GS"] == gs_expect
 
-    z_default = _hierarchy(8, 8, 8, 4).apply(b).copy()
+    z_default = _hierarchy(8, 8, 8, 4).apply(b, Tally()).copy()
     assert not np.array_equal(z_heavy, z_default)
 
 
@@ -244,11 +249,15 @@ def test_vcycle_preconditioning_reduces_gmres_iterations():
     lv = h.levels[0]
     b = lv.A_hi.values.sum(axis=1)
 
-    def precond(r, tally=None):
-        return h.apply(r, tally=tally)
+    tally = Tally()
 
-    res_pre = gmres_solve(lv.A_hi, lv.A_lo, precond, b, tol=1e-9)
-    res_plain = gmres_solve(lv.A_hi, lv.A_lo, None, b, tol=1e-9)
+    def precond(r):
+        return h.apply(r, tally)
+
+    res_pre = gmres_solve(lv.A_hi, lv.A_lo, precond, b, tol=1e-9,
+                          tally=tally)
+    res_plain = gmres_solve(lv.A_hi, lv.A_lo, lambda r: r, b, tol=1e-9,
+                            tally=Tally())
     assert res_pre.converged and res_plain.converged
     assert res_pre.iterations == 10
     assert res_plain.iterations == 12

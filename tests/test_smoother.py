@@ -29,7 +29,7 @@ def test_sweep_matches_sequential_oracle_bitwise():
     rng = np.random.default_rng(0)
     r = rng.integers(-10, 11, size=Ap.n_rows).astype(float)
     z = np.zeros(Ap.n_cols_extended)
-    forward_gs_sweep(Ap, r, z, c, z_is_zero=True)
+    forward_gs_sweep(Ap, r, z, c, z_is_zero=True, tally=Tally())
     z_ref = np.zeros(Ap.n_rows)
     seq_gs_sweep(Ap.values, Ap.col_idx, Ap.diag_pos, r, z_ref)
     assert np.array_equal(z[:Ap.n_rows], z_ref)
@@ -47,8 +47,8 @@ def test_two_sweeps_match_oracle_bitwise(dtype, strategy):
     r = rng.integers(-10, 11, size=A.n_rows).astype(dtype)
     z = rng.standard_normal(A.n_cols_extended).astype(dtype)
     z_ref = z[:A.n_rows].copy()
-    forward_gs_sweep(A, r, z, c)
-    forward_gs_sweep(A, r, z, c)
+    forward_gs_sweep(A, r, z, c, tally=Tally())
+    forward_gs_sweep(A, r, z, c, tally=Tally())
     seq_gs_sweep(A.values, A.col_idx, A.diag_pos, r, z_ref)
     seq_gs_sweep(A.values, A.col_idx, A.diag_pos, r, z_ref)
     assert z.dtype == dtype
@@ -62,7 +62,8 @@ def test_single_point_system_solved_exactly():
     Ap, _ = permute_system(A, [], c)
     build_halo_plan(gp.domain(0), Ap)
     z = np.zeros(1)
-    forward_gs_sweep(Ap, np.array([13.0]), z, c, z_is_zero=True)
+    forward_gs_sweep(Ap, np.array([13.0]), z, c, z_is_zero=True,
+                     tally=Tally())
     assert z[0] == 13.0 / 26.0
 
 
@@ -72,8 +73,8 @@ def test_sweeps_reduce_residual():
     z = np.zeros(Ap.n_cols_extended)
     norms = [np.linalg.norm(b)]
     for sweep in range(4):
-        forward_gs_sweep(Ap, b, z, c, z_is_zero=(sweep == 0))
-        norms.append(np.linalg.norm(b - spmv(Ap, z)))
+        forward_gs_sweep(Ap, b, z, c, z_is_zero=(sweep == 0), tally=Tally())
+        norms.append(np.linalg.norm(b - spmv(Ap, z, tally=Tally())))
     assert all(n1 < n0 for n0, n1 in zip(norms, norms[1:]))
 
 
@@ -83,8 +84,9 @@ def test_three_sweep_residual_regression_on_8cubed():
     b = generate_rhs(Ap).b
     z = np.zeros(Ap.n_cols_extended)
     for sweep in range(3):
-        forward_gs_sweep(Ap, b, z, c, z_is_zero=(sweep == 0))
-    relres = np.linalg.norm(b - spmv(Ap, z)) / np.linalg.norm(b)
+        forward_gs_sweep(Ap, b, z, c, z_is_zero=(sweep == 0), tally=Tally())
+    relres = (np.linalg.norm(b - spmv(Ap, z, tally=Tally()))
+              / np.linalg.norm(b))
     assert relres == pytest.approx(0.1973824330006174, rel=1e-12)
 
 
@@ -95,8 +97,9 @@ def test_low_high_precision_duality():
     r = rng.integers(-10, 11, size=Ap.n_rows).astype(float)
     z_hi = np.zeros(Ap.n_cols_extended)
     z_lo = np.zeros(Al.n_cols_extended, dtype=np.float32)
-    forward_gs_sweep(Ap, r, z_hi, c, z_is_zero=True)
-    forward_gs_sweep(Al, r.astype(np.float32), z_lo, c, z_is_zero=True)
+    forward_gs_sweep(Ap, r, z_hi, c, z_is_zero=True, tally=Tally())
+    forward_gs_sweep(Al, r.astype(np.float32), z_lo, c, z_is_zero=True,
+                     tally=Tally())
     diff = np.linalg.norm(z_hi - z_lo.astype(np.float64))
     assert diff / np.linalg.norm(z_hi) <= 1e-5
 
@@ -117,10 +120,10 @@ def test_overlapped_matches_blocking_on_8_ranks():
         z[:64] = zs[rank][c.perm]
         if overlapped:
             forward_gs_sweep(Ap, rs[rank][c.perm], z, c, plan=plan,
-                             world=world, rank=rank)
+                             world=world, rank=rank, tally=Tally())
         else:   # blocking reference: a fresh halo, then every row
             exchange(z, plan, world, rank)
-            forward_gs_sweep(Ap, rs[rank][c.perm], z, c)
+            forward_gs_sweep(Ap, rs[rank][c.perm], z, c, tally=Tally())
         return z
 
     blocking = RankWorld(8).run(worker, False)
@@ -135,7 +138,7 @@ def test_zero_diagonal_rejected():
     c = color(A, "greedy")
     z = np.zeros(2)
     with pytest.raises(SingularDiagonal):
-        forward_gs_sweep(A, np.ones(2), z, c, z_is_zero=True)
+        forward_gs_sweep(A, np.ones(2), z, c, z_is_zero=True, tally=Tally())
 
 
 def test_sweep_counts_flops_in_gs_motif():
