@@ -105,28 +105,26 @@ class BenchConfig:
 
 
 def _build_state(cfg, nranks, world, rank):
-    """Hierarchy, finest level and right-hand side for one rank."""
+    """Hierarchy and finest-level right-hand side for one rank."""
     gp = GlobalProblem.from_local(cfg.local_nx, cfg.local_ny, cfg.local_nz,
                                   nranks)
     dom = gp.domain(rank)
     hier = build_hierarchy(dom, cfg.mg_levels, world, rank,
                            strategy=cfg.coloring, seed=cfg.seed,
                            sweeps=cfg.sweeps())
+    return hier, generate_rhs(hier.levels[0].A_hi).b
+
+
+def _solve(cfg, hier, b, mode, tol, max_iters, tally):
     lv = hier.levels[0]
-    vecs = generate_rhs(lv.A_hi)
-    return hier, lv, vecs.b
-
-
-def _solve(cfg, hier, lv, b, world, rank, mode, tol, max_iters, tally):
-    n = lv.A_hi.n_rows
-    x0 = np.zeros(n)
 
     def precond(r):
         return hier.apply(r, tally)
 
-    return gmres_solve(lv.A_hi, lv.A_lo, precond, b, x0=x0, mode=mode,
-                       tol=tol, max_iters=max_iters, m=cfg.restart,
-                       plan=lv.plan, world=world, rank=rank, tally=tally)
+    return gmres_solve(lv.A_hi, lv.A_lo, precond, b, x0=np.zeros(lv.A_hi.n_rows),
+                       mode=mode, tol=tol, max_iters=max_iters, m=cfg.restart,
+                       plan=lv.plan, world=hier.world, rank=hier.rank,
+                       tally=tally)
 
 
 # -- phase 1: validation ------------------------------------------------------
@@ -134,9 +132,8 @@ def _solve(cfg, hier, lv, b, world, rank, mode, tol, max_iters, tally):
 
 def _validation_worker(world, rank, cfg, nranks):
     state = _build_state(cfg, nranks, world, rank)
-    hier, lv, b = state
-    dres = _solve(cfg, hier, lv, b, world, rank, "double",
-                  cfg.tol, cfg.nd_cap, Tally())
+    hier, b = state
+    dres = _solve(cfg, hier, b, "double", cfg.tol, cfg.nd_cap, Tally())
     if cfg.validation_mode == "standard":
         if not dres.converged:
             raise ValidationError(
@@ -147,8 +144,7 @@ def _validation_worker(world, rank, cfg, nranks):
         # Full-scale rule: the double solve runs to min(cap, tol) and the
         # achieved residual becomes the mixed solve's target.
         target = dres.relres if not dres.converged else cfg.tol
-    mres = _solve(cfg, hier, lv, b, world, rank, "mixed", target, cfg.nd_cap,
-                  Tally())
+    mres = _solve(cfg, hier, b, "mixed", target, cfg.nd_cap, Tally())
     return dres, mres, state
 
 
@@ -189,8 +185,8 @@ def run_validation(cfg, world=None):
 
 
 def _bench_worker(world, rank, cfg, states=None):
-    hier, lv, b = (states[rank] if states is not None
-                   else _build_state(cfg, cfg.ranks, world, rank))
+    hier, b = (states[rank] if states is not None
+               else _build_state(cfg, cfg.ranks, world, rank))
     tally_mxp = Tally()
     tally_dbl = Tally()
     iters_mxp = []
@@ -199,8 +195,7 @@ def _bench_worker(world, rank, cfg, states=None):
     t0 = time.perf_counter()
     reps = 0
     while True:
-        res = _solve(cfg, hier, lv, b, world, rank, "mixed",
-                     cfg.tol, cfg.max_iters, tally_mxp)
+        res = _solve(cfg, hier, b, "mixed", cfg.tol, cfg.max_iters, tally_mxp)
         iters_mxp.append(res.iterations)
         reps += 1
         # Rank 0 owns the clock; its verdict is broadcast so every rank
@@ -211,8 +206,8 @@ def _bench_worker(world, rank, cfg, states=None):
             break
 
     for _ in range(reps):
-        res = _solve(cfg, hier, lv, b, world, rank, "double",
-                     cfg.tol, cfg.max_iters, tally_dbl)
+        res = _solve(cfg, hier, b, "double", cfg.tol, cfg.max_iters,
+                     tally_dbl)
         iters_dbl.append(res.iterations)
 
     return {"reps": reps,

@@ -46,6 +46,7 @@ def _jones_plassmann(nb, rng=None):
     cand = np.arange(n)
     if rng is None:
         key[:n] = -cand
+        mark = np.zeros(n, dtype=bool)       # rows of the next frontier
     while cand.size:
         if rng is not None:
             key[cand] = rng.random(n)[cand]
@@ -58,7 +59,10 @@ def _jones_plassmann(nb, rng=None):
         key[sel] = -np.inf
         if rng is None:   # fixed w: only rows next to ``sel`` can turn ready
             ring = nb[sel].ravel()
-            cand = np.unique(ring[key[ring] > -np.inf])
+            ring = ring[key[ring] > -np.inf]
+            mark[ring] = True
+            cand = np.flatnonzero(mark)
+            mark[cand] = False
         else:
             cand = np.flatnonzero(key[:n] > -np.inf)
     return (np.frexp(bits[:n])[1] - 1).astype(np.int32)

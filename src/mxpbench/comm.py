@@ -2,15 +2,18 @@
 
 Ranks are in-process threads connected by per-pair FIFO mailboxes — the same
 message structure a neighborhood-and-allreduce MPI program would have, minus
-the network.  Global sums are accumulated in ascending rank order on every
+the network.  Halo messages and collectives share the mailboxes: a collective
+posts its value to every other rank, then takes one value from each rank in
+ascending rank order.  Global sums are accumulated in that order on every
 rank, so a run with a fixed rank count is bitwise reproducible; sums across
 DIFFERENT rank counts are not promised to match (documented, not a bug).
 
 Ranks drifting out of step is a programming error and surfaces as
-ProtocolError rather than a hang or silent corruption: every rank posts the
-kind of collective it called with its value, and a mismatch raises on every
-rank; a rank left waiting for a collective the others skipped raises once
-``_RECV_TIMEOUT`` has passed.
+ProtocolError rather than a hang or silent corruption: every message carries
+its pair's sequence number and the kind of operation that sent it, so a rank
+that receives a different kind than it waits for raises at once; a rank left
+waiting for a message the others never send raises once ``_RECV_TIMEOUT``
+has passed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ class ProtocolError(Exception):
     """Ranks disagreed about the communication schedule (internal bug trap)."""
 
 
+class _Aborted(ProtocolError):
+    """A rank stopped waiting because another rank failed first."""
+
+
 class TopologyError(Exception):
     """A matrix references a column owned by a non-neighboring rank."""
 
@@ -37,7 +44,7 @@ _RECV_TIMEOUT = 300.0
 
 
 class RankWorld:
-    """A fixed-size set of rank workers with mailboxes and collectives."""
+    """A fixed-size set of rank workers joined by per-pair FIFO mailboxes."""
 
     def __init__(self, nranks):
         if nranks < 1:
@@ -47,81 +54,79 @@ class RankWorld:
                        for s in range(nranks) for d in range(nranks) if s != d}
         self._send_seq = {pair: 0 for pair in self._boxes}
         self._recv_seq = {pair: 0 for pair in self._boxes}
-        self._barrier = threading.Barrier(nranks)
-        self._slots = [None] * nranks
         self._abort = threading.Event()
 
     # -- point to point ----------------------------------------------------
 
-    def send(self, src, dst, payload):
+    def _post(self, src, dst, kind, payload):
         seq = self._send_seq[(src, dst)]
         self._send_seq[(src, dst)] = seq + 1
-        self._boxes[(src, dst)].put((seq, payload))
+        self._boxes[(src, dst)].put((seq, kind, payload))
 
-    def recv(self, dst, src):
+    def _take(self, dst, src, kind):
+        """Wait for the next message on (src -> dst); it must be ``kind``."""
         expected = self._recv_seq[(src, dst)]
         self._recv_seq[(src, dst)] = expected + 1
         waited = 0.0
         while True:
-            if self._abort.is_set():
-                raise ProtocolError("world aborted while waiting for a message")
             try:
-                seq, payload = self._boxes[(src, dst)].get(timeout=_RECV_POLL)
+                seq, got, payload = self._boxes[(src, dst)].get(timeout=_RECV_POLL)
                 break
             except queue.Empty:
+                if self._abort.is_set():
+                    raise _Aborted("world aborted while waiting for a message") from None
                 waited += _RECV_POLL
                 if waited >= _RECV_TIMEOUT:
                     raise ProtocolError(
-                        f"rank {dst} timed out receiving from rank {src}") from None
+                        f"rank {dst} timed out after {_RECV_TIMEOUT:g} s waiting "
+                        f"for {kind!r} from rank {src}") from None
         if seq != expected:
             raise ProtocolError(
                 f"message reorder on pair ({src}->{dst}): got {seq}, expected {expected}")
+        if got != kind:
+            raise ProtocolError(
+                f"ranks called different collectives: rank {dst} waited for "
+                f"{kind!r} from rank {src}, which sent {got!r}")
         return payload
+
+    def send(self, src, dst, payload):
+        self._post(src, dst, "send", payload)
+
+    def recv(self, dst, src):
+        return self._take(dst, src, "send")
 
     # -- collectives ---------------------------------------------------------
 
-    def _sync(self):
-        try:
-            self._barrier.wait(timeout=_RECV_TIMEOUT)
-        except threading.BrokenBarrierError:
-            if self._abort.is_set():
-                raise ProtocolError("barrier broken (another rank failed)") from None
-            raise ProtocolError(
-                f"collective timed out after {_RECV_TIMEOUT:g} s "
-                "(a rank skipped it)") from None
-
     def _collect(self, rank, kind, value):
-        """Post (kind, value), wait for every rank, return all values."""
-        self._slots[rank] = (kind, value)
-        self._sync()
-        kinds = [k for k, _ in self._slots]
-        if any(k != kind for k in kinds):
-            raise ProtocolError(f"ranks called different collectives: {kinds}")
-        return [v for _, v in self._slots]
+        """Post value to every other rank; return all ranks' values by rank."""
+        if isinstance(value, np.ndarray):
+            value = value.copy()   # the caller may reuse its array on return
+        for dst in range(self.nranks):
+            if dst != rank:
+                self._post(rank, dst, kind, value)
+        return [value if src == rank else self._take(rank, src, kind)
+                for src in range(self.nranks)]
 
     def all_reduce_sum(self, rank, value):
         """Sum a scalar or array over all ranks, in ascending rank order."""
         vals = self._collect(rank, "all_reduce_sum", value)
         acc = vals[0]
-        acc = acc.copy() if isinstance(acc, np.ndarray) else acc
         for v in vals[1:]:
             acc = acc + v
-        self._sync()
         return acc
 
-    def gather(self, rank, value, root=0):
-        """Collect every rank's value at ``root`` (list indexed by rank)."""
+    def gather(self, rank, value):
+        """Collect every rank's value at rank 0 (list indexed by rank)."""
         vals = self._collect(rank, "gather", value)
-        self._sync()
-        return vals if rank == root else None
+        return vals if rank == 0 else None
 
     # -- lifecycle -----------------------------------------------------------
 
     def run(self, fn, *args, **kwargs):
         """Run ``fn(world, rank, *args, **kwargs)`` on every rank; return results.
 
-        The first exception (by rank id) is re-raised after all workers stop;
-        secondary failures caused by the abort are suppressed.
+        After all workers stop, the first failure by rank id is re-raised,
+        passing over ranks that only stopped waiting because another failed.
         """
         results = [None] * self.nranks
         errors = [None] * self.nranks
@@ -132,7 +137,6 @@ class RankWorld:
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 errors[rank] = exc
                 self._abort.set()
-                self._barrier.abort()
 
         threads = [threading.Thread(target=work, args=(r,), name=f"rank-{r}")
                    for r in range(self.nranks)]
@@ -140,13 +144,9 @@ class RankWorld:
             t.start()
         for t in threads:
             t.join()
-        primary = next((e for e in errors if e is not None), None)
-        if primary is not None:
-            def secondary(e):
-                return isinstance(e, ProtocolError) and (
-                    "abort" in str(e) or "broken" in str(e))
-            non_secondary = [e for e in errors if e is not None and not secondary(e)]
-            raise (non_secondary[0] if non_secondary else primary)
+        failed = [e for e in errors if e is not None]
+        if failed:
+            raise next((e for e in failed if not isinstance(e, _Aborted)), failed[0])
         return results
 
 

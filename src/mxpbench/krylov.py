@@ -134,7 +134,6 @@ class SolveResult:
     relres: float
     converged: bool
     boundary_pairs: list = field(default_factory=list)
-    workspace: GmresWorkspace = None
 
 
 def spmv(A, x, plan=None, world=None, rank=0, *, tally):
@@ -245,7 +244,7 @@ def _assert_replicated(world, rank, ws):
 
 def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
                 max_iters=300, m=30, plan=None, world=None, rank=0, *,
-                tally, debug_replication=False, keep_basis=False):
+                tally, debug_replication=False):
     """Right-preconditioned restarted GMRES; restarts double as refinement steps.
 
     Every outer pass recomputes r = b - A x in float64, tests ||r||/||b||
@@ -264,10 +263,6 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     own precision; every kernel charges ``tally``.  A zero ``b`` zeroes
     ``x0`` and returns at once.  Returns a SolveResult whose
     ``boundary_pairs`` hold (recurrence norm, true norm) at each restart.
-    With ``keep_basis`` its ``workspace`` holds the last cycle's basis in
-    ``Q[:k+1]``, k = ``workspace.k`` being that cycle's iteration count;
-    rows past that hold stale or unset values, and
-    ``workspace.recycle`` the recycle pair (None when no cycle stalled).
     """
     if mode not in ("double", "mixed"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -302,7 +297,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
         # A is nonsingular, so x = 0 is the solution.
         if x0 is not None:
             x0[:] = 0
-        return SolveResult(0, 0, 0.0, True, [], ws if keep_basis else None)
+        return SolveResult(0, 0, 0.0, True)
 
     total = 0
     cycles = 0
@@ -414,6 +409,5 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     if x0 is not None:
         x0[:] = x_t[:n]
     return SolveResult(iterations=total, restarts=cycles, relres=relres,
-                       converged=converged, boundary_pairs=pairs,
-                       workspace=ws if keep_basis else None)
+                       converged=converged, boundary_pairs=pairs)
 

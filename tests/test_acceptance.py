@@ -56,7 +56,7 @@ def _desk_hierarchy(nx=16):
     return hier, lv, lv.A_hi.values.sum(axis=1)
 
 
-def _desk_solve(mode, tol=1e-9, m=30, max_iters=300, keep_basis=False):
+def _desk_solve(mode, tol=1e-9, m=30, max_iters=300):
     hier, lv, b = _desk_hierarchy()
     tally = Tally()
 
@@ -64,8 +64,7 @@ def _desk_solve(mode, tol=1e-9, m=30, max_iters=300, keep_basis=False):
         return hier.apply(r, tally)
 
     return gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode, tol=tol,
-                       m=m, max_iters=max_iters, tally=tally,
-                       keep_basis=keep_basis)
+                       m=m, max_iters=max_iters, tally=tally)
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -189,16 +188,16 @@ def test_criterion_3_penalty_function():
 # -- criterion 4 ---------------------------------------------------------------
 
 
-def test_criterion_4_basis_orthogonality():
+def test_criterion_4_basis_orthogonality(workspaces):
     # An unreachable tolerance runs the solver to its 30-iteration cap.  In
     # double mode that is one full m=30 cycle; a mixed cycle ends at float32
     # roundoff and restarts, so only its last cycle's basis is checked.
     levels = {}
     sizes = {}
     for mode in ("double", "mixed"):
-        res = _desk_solve(mode, tol=1e-30, max_iters=30, keep_basis=True)
+        res = _desk_solve(mode, tol=1e-30, max_iters=30)
         assert res.iterations == 30
-        k, Q = last_cycle_basis(res.workspace)
+        k, Q = last_cycle_basis(workspaces[-1])
         G = Q @ Q.T - np.eye(k + 1)
         levels[mode] = float(np.max(np.abs(G)))
         sizes[mode] = k
@@ -324,7 +323,8 @@ def test_criterion_8_determinism_and_replication():
                        time_seconds=0.0)
 
     def worker(world, rank):
-        hier, lv, b = _build_state(rcfg, 8, world, rank)
+        hier, b = _build_state(rcfg, 8, world, rank)
+        lv = hier.levels[0]
         tally = Tally()
 
         def precond(r):
@@ -387,7 +387,8 @@ def test_criterion_9_multirank_consistency():
                       time_seconds=0.0)
 
     def solve_worker(world, rank):
-        hier, lv, b = _build_state(cfg, 8, world, rank)
+        hier, b = _build_state(cfg, 8, world, rank)
+        lv = hier.levels[0]
         tally = Tally()
 
         def precond(r):

@@ -1,5 +1,8 @@
 """Thread-backed rank world: collectives, halo plans, exchanges."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,29 @@ def test_all_reduce_sum_arrays():
     outs = RankWorld(4).run(worker)
     for o in outs:
         assert np.array_equal(o, np.full(3, 10.0))
+
+
+def test_all_reduce_sum_reads_no_buffer_its_caller_reuses():
+    # Each rank rewrites one buffer right after every all-reduce returns; a
+    # peer still summing the previous round must not see the new values.
+    rounds, nranks = 300, 4
+    switch = sys.getswitchinterval()
+
+    def worker(world, rank):
+        buf = np.empty(8)
+        bad = 0
+        for i in range(rounds):
+            buf[:] = rank + i
+            got = world.all_reduce_sum(rank, buf)
+            bad += not np.all(got == sum(r + i for r in range(nranks)))
+        return bad
+
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = RankWorld(nranks).run(worker)
+    finally:
+        sys.setswitchinterval(switch)
+    assert outs == [0] * nranks
 
 
 def test_send_recv_fifo_order():
@@ -85,6 +111,27 @@ def test_mismatched_collectives_raise_on_every_rank():
 
     outs = RankWorld(2).run(worker)
     assert all("different collectives" in o for o in outs)
+
+
+def test_halo_message_meeting_a_collective_raises_at_once(monkeypatch):
+    monkeypatch.setattr(comm, "_RECV_TIMEOUT", 2.0)
+
+    def worker(world, rank):
+        t0 = time.perf_counter()
+        try:
+            if rank == 0:
+                world.send(0, 1, np.zeros(3))
+                world.recv(0, 1)
+            else:
+                world.all_reduce_sum(rank, 1.0)
+        except ProtocolError as exc:
+            return str(exc), time.perf_counter() - t0
+        return "returned", 0.0
+
+    for msg, seconds in RankWorld(2).run(worker):
+        assert "'send'" in msg and "'all_reduce_sum'" in msg
+        assert "different collectives" in msg
+        assert seconds < 1.0
 
 
 def test_skipped_collective_times_out(monkeypatch):

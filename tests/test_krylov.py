@@ -138,14 +138,13 @@ def test_back_substitute_matches_dense_solve():
 
 
 def _solve(nx, ny, nz, mode, m=30, tol=1e-9, max_iters=300,
-           precond=lambda r: r, keep_basis=False, b=None, x0=None):
+           precond=lambda r: r, b=None, x0=None):
     A, vecs = _single_rank_system(nx, ny, nz)
     A_lo = to_low_precision(A)
     if b is None:
         b = vecs.b
     return A, gmres_solve(A, A_lo, precond, b, x0=x0, mode=mode, tol=tol,
-                          max_iters=max_iters, m=m, tally=Tally(),
-                          keep_basis=keep_basis)
+                          max_iters=max_iters, m=m, tally=Tally())
 
 
 def test_restarted_solve_converges():
@@ -158,7 +157,6 @@ def test_restarted_solve_converges():
     assert res.restarts == 4
     assert res.iterations == 18
     assert res.relres < 1e-10
-    assert res.workspace is None  # basis not kept by default
 
 
 def test_solution_vector_matches_all_ones():
@@ -216,8 +214,7 @@ def test_unknown_mode_rejected():
                     mode="mxp", tally=Tally())
 
 
-def _preconditioned_solve(mode, tol=1e-9, m=30, max_iters=300,
-                          keep_basis=False):
+def _preconditioned_solve(mode, tol=1e-9, m=30, max_iters=300):
     gp = GlobalProblem.from_local(16, 16, 16, 1)
     hier = build_hierarchy(gp.domain(0), 4, sweeps=SmootherWorkspace())
     lv = hier.levels[0]
@@ -229,8 +226,7 @@ def _preconditioned_solve(mode, tol=1e-9, m=30, max_iters=300,
         return hier.apply(r, tally)
 
     return gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode, tol=tol,
-                       m=m, max_iters=max_iters, tally=tally,
-                       keep_basis=keep_basis)
+                       m=m, max_iters=max_iters, tally=tally)
 
 
 def test_iteration_counts_are_reproducible_double():
@@ -247,10 +243,10 @@ def test_iteration_counts_are_reproducible_mixed():
     assert res.relres <= 1e-9
 
 
-def test_keep_basis_returns_workspace():
-    res = _preconditioned_solve("double", keep_basis=True)
-    assert isinstance(res.workspace, GmresWorkspace)
-    q0 = res.workspace.Q[0]
+def test_keep_basis_returns_workspace(workspaces):
+    _preconditioned_solve("double")
+    assert isinstance(workspaces[-1], GmresWorkspace)
+    q0 = workspaces[-1].Q[0]
     assert np.linalg.norm(q0) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -316,11 +312,11 @@ def _desk_solve(desk, mode, **kw):
     return res, x
 
 
-def _recycled(desk):
-    res, _ = _desk_solve(desk, "mixed", tol=1e-9, keep_basis=True)
-    rp = res.workspace.recycle
-    V = rp.V.astype(np.float64)
-    return res.workspace, rp, V, V.T @ rp.QG
+def _recycled(desk, workspaces):
+    _desk_solve(desk, "mixed", tol=1e-9)
+    ws = workspaces[-1]
+    V = ws.recycle.V.astype(np.float64)
+    return ws, ws.recycle, V, V.T @ ws.recycle.QG
 
 
 def test_cgs2_with_recycle_pair_projects_out_c_and_records_b():
@@ -345,22 +341,22 @@ def test_cgs2_with_recycle_pair_projects_out_c_and_records_b():
                        atol=1e-14)
 
 
-def test_recycle_pair_c_is_orthonormal(desk):
+def test_recycle_pair_c_is_orthonormal(desk, workspaces):
     # CGS2 keeps the float32 basis V orthonormal to a few eps32 per entry,
     # and C^T C - I = Q_G^T (V V^T - I) Q_G is bounded by ||V V^T - I||_2.
-    _, rp, V, C = _recycled(desk)
+    _, rp, V, C = _recycled(desk, workspaces)
     E = V @ V.T - np.eye(rp.nv)
     assert np.max(np.abs(E)) <= 4 * EPS32
     assert (np.max(np.abs(C.T @ C - np.eye(rp.nv - 1)))
             <= np.linalg.norm(E, 2) + 1e-12)
 
 
-def test_recycle_pair_spans_a_m_u_equals_c(desk):
+def test_recycle_pair_spans_a_m_u_equals_c(desk, workspaces):
     # A M V_k = V_{k+1} H_k holds to float32 rounding of ||H_k|| per column;
     # U = V_k R_G^-1 scales that by ||R_G^-1||, so a column of A M U misses
     # its column of C by about eps32 * cond(R_G).
     hier, lv, _ = desk
-    _, rp, V, C = _recycled(desk)
+    _, rp, V, C = _recycled(desk, workspaces)
     k = rp.nv - 1
     U = V[:k].T @ np.linalg.inv(rp.RG)
     bound = 8 * EPS32 * np.linalg.cond(rp.RG)
@@ -371,29 +367,29 @@ def test_recycle_pair_spans_a_m_u_equals_c(desk):
         assert np.linalg.norm(amu - C[:, j]) <= bound
 
 
-def test_last_cycle_basis_is_orthogonal_to_c(desk):
-    ws, rp, _, C = _recycled(desk)
+def test_last_cycle_basis_is_orthogonal_to_c(desk, workspaces):
+    ws, rp, _, C = _recycled(desk, workspaces)
     assert ws.k >= 1
     Q = ws.Q[:ws.k + 1].astype(np.float64)
     assert np.max(np.abs(Q @ C)) <= 4 * EPS32
 
 
-def test_later_stalls_keep_the_first_recycle_pair(desk):
+def test_later_stalls_keep_the_first_recycle_pair(desk, workspaces):
     # Three cycles: the second and third both run on the first stall's
     # 12-iteration space.
-    res, x = _desk_solve(desk, "mixed", tol=1e-13, keep_basis=True)
+    res, x = _desk_solve(desk, "mixed", tol=1e-13)
     assert res.converged
     assert res.iterations == 24  # frozen; 26 with plain restarts
     assert res.restarts == 3
-    assert res.workspace.recycle.nv == 13
+    assert workspaces[-1].recycle.nv == 13
     assert np.max(np.abs(x - 1.0)) <= 1e-11
 
 
-def test_stall_one_short_of_m_fits_the_block(desk):
+def test_stall_one_short_of_m_fits_the_block(desk, workspaces):
     # The first cycle stalls after 12 iterations; with m = 13 the kept 13
     # rows and the next 14-row basis end one row short of the 28-row block.
-    res, x = _desk_solve(desk, "mixed", tol=1e-9, m=13, keep_basis=True)
-    ws = res.workspace
+    res, x = _desk_solve(desk, "mixed", tol=1e-9, m=13)
+    ws = workspaces[-1]
     assert res.converged and res.iterations == 16
     assert ws.recycle.nv == 13
     assert ws.block.shape[0] == 28
@@ -401,10 +397,10 @@ def test_stall_one_short_of_m_fits_the_block(desk):
     assert np.max(np.abs(x - 1.0)) <= 1e-8
 
 
-def test_cycles_that_end_at_m_restart_as_before(desk):
+def test_cycles_that_end_at_m_restart_as_before(desk, workspaces):
     # With m = 5 no cycle stalls, so nothing is recycled.
-    res, _ = _desk_solve(desk, "mixed", tol=1e-9, m=5, keep_basis=True)
-    assert res.workspace.recycle is None
+    res, _ = _desk_solve(desk, "mixed", tol=1e-9, m=5)
+    assert workspaces[-1].recycle is None
     assert (res.iterations, res.restarts) == (27, 6)
     assert res.relres == 5.923984293839839e-10
 
