@@ -93,13 +93,13 @@ def color(A, strategy="greedy", seed=0):
                     perm=perm, iperm=iperm)
 
 
-def permute_system(A, vectors, coloring):
-    """Apply the symmetric reordering P A P^T and permute ``vectors`` by P.
+def permute_system(A, coloring):
+    """The symmetric reordering P A P^T.
 
-    Rows are gathered by perm into new column-major arrays; owned column ids
-    are relabeled through iperm.  The entry order inside each row is
-    untouched: entries are sorted by global column id, and a symmetric
-    relabeling does not change global ids.
+    Rows are gathered by perm into new column-major arrays; owned column ids,
+    padding's own-row ids among them, are relabeled through iperm.  The
+    entry order inside each row is untouched: entries are sorted by global
+    column id, and a symmetric relabeling does not change global ids.
     """
     from .problem import EllMatrix, take_rows
 
@@ -108,12 +108,11 @@ def permute_system(A, vectors, coloring):
     col_idx = take_rows(A.col_idx, perm)
     owned = (col_idx >= 0) & (col_idx < n)
     col_idx[owned] = coloring.iperm[col_idx[owned]]
-    out = EllMatrix(n_rows=n, width=A.width,
-                    values=take_rows(A.values, perm),
-                    col_idx=col_idx,
-                    col_global=take_rows(A.col_global, perm),
-                    row_nnz=A.row_nnz[perm],
-                    diag_pos=A.diag_pos[perm],
-                    nnz_total=A.nnz_total,
-                    n_cols_extended=A.n_cols_extended)
-    return out, [v[perm] for v in vectors]
+    return EllMatrix(n_rows=n, width=A.width,
+                     values=take_rows(A.values, perm),
+                     col_idx=col_idx,
+                     col_global=take_rows(A.col_global, perm),
+                     row_nnz=A.row_nnz[perm],
+                     diag_pos=A.diag_pos[perm],
+                     nnz_total=A.nnz_total,
+                     n_cols_extended=A.n_cols_extended)

@@ -99,7 +99,6 @@ class GmresWorkspace:
     t: np.ndarray
     c: np.ndarray
     s: np.ndarray
-    k: int = 0                  # iterations of the last cycle
     recycle: RecyclePair = None
 
     @classmethod
@@ -153,7 +152,7 @@ def spmv(A, x, plan=None, world=None, rank=0, *, tally):
                 lambda: y.__setitem__(rows_nh, row_dot(v_nh, c_nh, x)))
             y[rows_h] = row_dot(v_h, c_h, x)
         else:
-            y = row_dot(A.values, A.spmv_cols(), x)
+            y = row_dot(A.values, A.col_idx, x)
     tally.add("spmv", A.dtype, nnz=A.nnz_total, n=A.n_rows)
     return y
 
@@ -376,7 +375,6 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
                 _assert_replicated(world, rank, ws)
             k += 1
             total += 1
-        ws.k = k
 
         if k > 0:
             yk = _back_substitute(ws.H, ws.t, k)

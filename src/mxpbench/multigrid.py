@@ -65,7 +65,8 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
     for lev in range(levels):
         A_nat = generate_matrix(dom)
         col = color_rows(A_nat, strategy=strategy, seed=seed)
-        A, _ = permute_system(A_nat, [], col)
+        A = permute_system(A_nat, col)
+        del A_nat   # free the natural order before the plan and fp32 copy
         plan = build_halo_plan(dom, A, world, rank, iperm=col.iperm)
         level = MgLevel(domain=dom, A_hi=A, A_lo=to_low_precision(A),
                         coloring=col, plan=plan)

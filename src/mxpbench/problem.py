@@ -12,11 +12,18 @@ The n x 27 arrays are stored column-major (Fortran order), so one slot of all
 rows, ``values[:, s]``, is contiguous: the SELL-style layout (Kreutzer et al.,
 SISC 2014) that lets ``row_dot`` gather, multiply and reduce a whole row
 block in three numpy calls.  Row subsets are packed in the same layout.
+
+``col_idx`` is the one index array, held in the form the kernels read: intp,
+the index type ``np.take`` uses, with each padding slot pointing at its own
+row (value 0.0).  Once a halo plan has run every entry lies in
+``[0, n_cols_extended)``; until then columns owned by other ranks hold
+``UNRESOLVED``, the one sentinel.  A padding product is a signed zero, and
+adding it to an accumulator that starts at +0.0 changes no bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +35,7 @@ _OFFSETS = [(dx, dy, dz)
             for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 _SELF_POS = _OFFSETS.index((0, 0, 0))
 
-# col_idx sentinels: padding, and off-rank columns not yet given a halo slot.
-PAD = -1
+# col_idx entry of an off-rank column not yet given a halo slot.
 UNRESOLVED = -2
 
 
@@ -43,11 +49,13 @@ class EllMatrix:
 
     ``values``, ``col_idx`` and ``col_global`` are n x width and column-major,
     slot s of every row contiguous; slot order within a row is ascending
-    global column and never changes.  ``col_idx`` holds local row indices for
-    owned columns and, once ``assign_halo_slots`` has run, halo slot indices
-    (>= n_rows) for neighbor-owned columns.  ``col_global`` keeps the global
-    ids of all entries; padding uses -1 in both.  ``diag_pos[i]`` is the
-    position of the diagonal within row i.
+    global column and never changes.  ``col_idx`` (intp) holds local row
+    indices for owned columns and, once ``assign_halo_slots`` has run, halo
+    slot indices (>= n_rows) for neighbor-owned columns; before that they
+    are UNRESOLVED.  A padding slot (s >= row_nnz[i]) holds value 0.0 and
+    column i, so every kernel reads ``col_idx`` as it is.  ``col_global``
+    keeps the global ids of all entries, -1 for padding.  ``diag_pos[i]`` is
+    the position of the diagonal within row i.
     """
 
     n_rows: int
@@ -84,23 +92,14 @@ class EllMatrix:
             return diag
         return self._cached(("diag", self.dtype), build)
 
-    def spmv_cols(self):
-        """col_idx with padding redirected to column 0 (its value is 0.0).
-
-        Held as intp, the index type ``np.take`` uses: int32 indices would be
-        converted to a full-size temporary on every call.
-        """
-        return self._cached("spmv_cols", lambda: np.maximum(
-            self.col_idx, 0, dtype=np.intp))
-
     def packed(self, key, rows):
-        """(values[rows], spmv_cols()[rows]) for the row set ``key``, built once.
+        """(values[rows], col_idx[rows]) for the row set ``key``, built once.
 
         Both are column-major like the stored arrays.  A key names one row
         array for the matrix's life; another one raises.
         """
         first, cols = self._cached(
-            key, lambda: (rows, take_rows(self.spmv_cols(), rows)))
+            key, lambda: (rows, take_rows(self.col_idx, rows)))
         if first is not rows:
             raise ValueError(f"row set {key!r} was packed from another array")
         vals = self._cached((key, self.dtype),
@@ -148,9 +147,9 @@ def row_dot(vals, cols, x):
     into an accumulator of x's dtype that starts at +0.0, exactly as a
     per-row loop does; any subset of rows thus gives each row the same bits.
     (``x[cols.T]`` promises no layout, and column-major products would be
-    reduced pairwise.)  Indices are in range, so ``mode="wrap"`` never
-    wraps; it only spares the raising bounds check (about 15% of the gather
-    at 32^3).
+    reduced pairwise.)  A stored ``col_idx`` is in range by construction,
+    padding included, so ``mode="wrap"`` never wraps; it only spares the
+    raising bounds check (about 15% of the gather at 32^3).
 
     One row is special: numpy sums a lone column of products pairwise, not
     in order.  Its running sum in slot order ends on the loop's sum, except
@@ -180,9 +179,9 @@ def generate_matrix(domain):
     gy = lj + domain.oy
     gz = lk + domain.oz
 
-    # Column-major from the start; unfilled slots stay padding.
+    # Column-major from the start; unfilled slots stay padding (0.0, own row).
     vals = np.zeros((n, STENCIL_WIDTH), order="F")
-    cols = np.full((n, STENCIL_WIDTH), PAD, dtype=np.int32, order="F")
+    cols = np.tile(np.arange(n, dtype=np.intp), (STENCIL_WIDTH, 1)).T
     colg = np.full((n, STENCIL_WIDTH), -1, dtype=np.int64, order="F")
     row_nnz = np.zeros(n, dtype=np.int32)
 
@@ -228,18 +227,13 @@ def generate_rhs(A):
 
 
 def to_low_precision(A):
-    """Single-precision copy of A sharing the structure arrays.
+    """Single-precision copy of A sharing every other field.
 
     The entry values 26 and -1 are exact in binary32, so only the value array
     narrows; indices, counts, diagonal positions and the store of derived
     arrays are shared by reference.
     """
-    return EllMatrix(n_rows=A.n_rows, width=A.width,
-                     values=A.values.astype(np.float32),
-                     col_idx=A.col_idx, col_global=A.col_global,
-                     row_nnz=A.row_nnz, diag_pos=A.diag_pos,
-                     nnz_total=A.nnz_total, n_cols_extended=A.n_cols_extended,
-                     _caches=A._caches)
+    return replace(A, values=A.values.astype(np.float32))
 
 
 def write_matrix_market(path, A, global_rows, n_global):

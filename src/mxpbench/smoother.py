@@ -9,9 +9,10 @@ bitwise reproducible and lets a plain sequential sweep over the reordered
 matrix serve as an oracle.
 
 A block is a row slice of the one stored matrix, diagonal included.  Its
-rows of z are zeroed first, so each row's diagonal product is a zero; the
-accumulator starts at +0.0 and under round-to-nearest never becomes -0.0,
-so adding that zero changes no bit.  The result is bitwise that of skipping
+rows of z are zeroed first, so each row's diagonal product is a zero (as is
+a padding product, which reads the row's own z too); the accumulator starts
+at +0.0 and under round-to-nearest never becomes -0.0, so adding that zero
+changes no bit.  The result is bitwise that of skipping
 the diagonal, with no second value array.
 """
 
@@ -54,7 +55,7 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
     they land; the result is bitwise that of ``exchange`` followed by a sweep
     without a world.  The sweep's time and work go to ``tally``.
     """
-    vals, cols, diag = A.values, A.spmv_cols(), A.diagonal()
+    vals, cols, diag = A.values, A.col_idx, A.diagonal()
     offsets = coloring.color_offsets
 
     with tally.timed("GS"):

@@ -62,13 +62,27 @@ def ell_to_dense(A):
     n = A.n_rows
     D = np.zeros((n, n), dtype=A.values.dtype)
     for i in range(n):
-        for s in range(A.width):
+        for s in range(int(A.row_nnz[i])):     # padding follows row_nnz
             c = int(A.col_idx[i, s])
-            if c == -1:          # padding
-                continue
             assert 0 <= c < n, f"row {i} references non-owned column {c}"
             D[i, c] = A.values[i, s]
     return D
+
+
+def padding_mask(A):
+    """n x width mask of A's padding slots, s >= row_nnz[i]."""
+    return np.arange(A.width) >= A.row_nnz[:, None]
+
+
+def oracle_cols(A):
+    """A's column indices with every padding slot marked -1.
+
+    The sequential kernels below skip negative columns, so they count no
+    operation for padding.
+    """
+    cols = np.array(A.col_idx)
+    cols[padding_mask(A)] = -1
+    return cols
 
 
 # -- sequential kernels with operation counters --------------------------------
@@ -345,13 +359,17 @@ def greedy_color_dense(D):
 
 
 def ell_from_dense(D):
-    """Hand-build an EllMatrix from a dense pattern (tests only)."""
+    """Hand-build an EllMatrix from a dense pattern (tests only).
+
+    Padding is stored as ``generate_matrix`` stores it: value 0.0, column
+    the row's own index.
+    """
     from mxpbench.problem import EllMatrix
 
     n = D.shape[0]
     width = int(max((D[i] != 0).sum() for i in range(n)))
     values = np.zeros((n, width))
-    col_idx = -np.ones((n, width), dtype=np.int32)
+    col_idx = np.tile(np.arange(n, dtype=np.intp), (width, 1)).T
     col_global = -np.ones((n, width), dtype=np.int64)
     row_nnz = np.zeros(n, dtype=np.int32)
     diag_pos = np.zeros(n, dtype=np.int32)

@@ -17,8 +17,10 @@ def workspaces(monkeypatch):
     """Every GmresWorkspace allocated during the test, in allocation order.
 
     ``workspaces[-1]`` after a solve holds its last cycle's basis in
-    ``Q[:k+1]``, k = ``ws.k`` being that cycle's iteration count, and its
-    recycle pair in ``ws.recycle`` (None when no cycle stalled).
+    ``Q[:k+1]`` and its recycle pair in ``ws.recycle`` (None when no cycle
+    stalled).  That cycle's iteration count k is
+    ``np.count_nonzero(np.diag(ws.H))``: H is zeroed at the start of every
+    cycle, and its rotated diagonal is nonzero up to k.
     """
     made = []
     allocate = GmresWorkspace.allocate

@@ -34,6 +34,13 @@ def test_default_config_is_valid():
     BenchConfig().validate()
 
 
+def _override_id(overrides):
+    """``nu1=0`` for {"nu1": 0}: a case is named by its override, not its
+    place, so adding or removing a case renames no other."""
+    return ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in overrides.items())
+
+
 @pytest.mark.parametrize("overrides", [
     {"local_nx": 12},            # not divisible by 2**(mg_levels-1) = 8
     {"local_ny": 20},
@@ -53,15 +60,13 @@ def test_default_config_is_valid():
     {"nu2": 0},
     {"nu_c": 0},
     {"mg_levels": 0},
-    # Explicit ids from here on, so a case added or removed above renames
-    # none of these.
-    pytest.param({"tol": 1.0}, id="tol=1"),
-    pytest.param({"tol": 2.0}, id="tol=2"),
-    pytest.param({"tol": float("inf")}, id="tol=inf"),
-    pytest.param({"tol": float("nan")}, id="tol=nan"),
-    pytest.param({"time_seconds": float("inf")}, id="time_seconds=inf"),
-    pytest.param({"time_seconds": float("nan")}, id="time_seconds=nan"),
-])
+    {"tol": 1.0},
+    {"tol": 2.0},
+    {"tol": float("inf")},
+    {"tol": float("nan")},
+    {"time_seconds": float("inf")},
+    {"time_seconds": float("nan")},
+], ids=_override_id)
 def test_invalid_configs_rejected(overrides):
     cfg = BenchConfig(**overrides)
     with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
 from mxpbench.problem import generate_matrix
 
-from _oracles import local_to_global, seq_spmv
+from _oracles import local_to_global, oracle_cols, seq_spmv
 
 
 def test_all_reduce_sum_fixed_order():
@@ -231,14 +231,15 @@ def test_exchange_rejects_a_short_halo_message():
 
 
 def test_halo_plan_drops_arrays_derived_before_it():
-    # spmv_cols() built while off-rank columns were still UNRESOLVED must
-    # not outlive the plan that rewrites them; stale, halo entries read x[0].
+    # Halo packs built while off-rank columns were still UNRESOLVED must not
+    # outlive the plan that rewrites them; stale, every row would count as
+    # interior and its off-rank entries would read x[UNRESOLVED].
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
     def worker(world, rank):
         dom = gp.domain(rank)
         A = generate_matrix(dom)
-        A.spmv_cols()
+        A.halo_packs()
         plan = build_halo_plan(dom, A, world, rank)
         rng = np.random.default_rng(40 + rank)
         x = np.zeros(A.n_cols_extended)
@@ -247,7 +248,7 @@ def test_halo_plan_drops_arrays_derived_before_it():
                       tally=Tally())
         exchange(x, plan, world, rank)
         y_plain = spmv(A, x, tally=Tally())
-        y_ref, _ = seq_spmv(A.values, A.col_idx, x)
+        y_ref, _ = seq_spmv(A.values, oracle_cols(A), x)
         return (y_over.tobytes() == y_ref.tobytes()
                 and y_plain.tobytes() == y_ref.tobytes())
 

@@ -23,7 +23,7 @@ from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import generate_matrix, generate_rhs, to_low_precision
 from mxpbench.smoother import SmootherWorkspace
 
-from _oracles import seq_spmv
+from _oracles import oracle_cols, seq_spmv
 
 
 def _single_rank_system(nx, ny, nz):
@@ -39,7 +39,7 @@ def test_spmv_matches_sequential_oracle_bitwise():
     x = np.zeros(A.n_cols_extended)
     x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
     y = spmv(A, x, tally=Tally())
-    y_ref, _ = seq_spmv(A.values, A.col_idx, x)
+    y_ref, _ = seq_spmv(A.values, oracle_cols(A), x)
     assert np.array_equal(y, y_ref)
 
 
@@ -49,7 +49,7 @@ def test_spmv_overlapped_matches_blocking_on_eight_ranks():
     def worker(world, rank):
         A = generate_matrix(gp.domain(rank))
         c = color(A, "greedy")
-        A, _ = permute_system(A, [], c)
+        A = permute_system(A, c)
         plan = build_halo_plan(gp.domain(rank), A, world=world, rank=rank,
                                iperm=c.iperm)
         rng = np.random.default_rng(100 + rank)
@@ -369,8 +369,9 @@ def test_recycle_pair_spans_a_m_u_equals_c(desk, workspaces):
 
 def test_last_cycle_basis_is_orthogonal_to_c(desk, workspaces):
     ws, rp, _, C = _recycled(desk, workspaces)
-    assert ws.k >= 1
-    Q = ws.Q[:ws.k + 1].astype(np.float64)
+    k = np.count_nonzero(np.diag(ws.H))   # the last cycle's iterations
+    assert k >= 1
+    Q = ws.Q[:k + 1].astype(np.float64)
     assert np.max(np.abs(Q @ C)) <= 4 * EPS32
 
 

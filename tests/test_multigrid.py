@@ -110,12 +110,15 @@ def test_both_precisions_share_one_stored_operator_per_level():
                              lv.coloring, z_is_zero=True, tally=Tally())
             spmv(A, z, tally=Tally())
     for lv in h.levels:
-        assert lv.A_lo.spmv_cols() is lv.A_hi.spmv_cols()
+        assert lv.A_lo.col_idx is lv.A_hi.col_idx
         for A in (lv.A_hi, lv.A_lo):
             cached = _cached_arrays(list(A._caches.values()))
             assert any(a.dtype.kind == "f" for a in cached)   # the diagonals
             # no full-size copy of the values beside A.values, in any shape
             assert not any(a.dtype.kind == "f" and a.size >= A.values.size
+                           for a in cached)
+            # and no n x 27 index array beside A.col_idx
+            assert not any(a.dtype.kind in "iu" and a.shape == A.col_idx.shape
                            for a in cached)
 
 
@@ -133,7 +136,7 @@ def test_kernel_arrays_are_column_major_in_both_precisions():
         arrays = []
         for fine, coarse in zip(h.levels, h.levels[1:] + [None]):
             for A in (fine.A_hi, fine.A_lo):
-                arrays += [A.values, A.col_idx, A.spmv_cols()]
+                arrays += [A.values, A.col_idx]
                 arrays += [a for _, vals, cols in A.halo_packs()
                            for a in (vals, cols)]
                 if coarse is not None:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from mxpbench.comm import RankWorld
 from mxpbench.geometry import GlobalProblem
-from mxpbench.problem import (PAD, UNRESOLVED, generate_matrix, generate_rhs,
+from mxpbench.multigrid import build_hierarchy
+from mxpbench.problem import (UNRESOLVED, generate_matrix, generate_rhs,
                               row_dot, to_low_precision, write_matrix_market)
 
-from _oracles import (dense_stencil_3d, ell_to_dense, owns_global, seq_spmv,
-                      structure_signature)
+from _oracles import (dense_stencil_3d, ell_to_dense, owns_global,
+                      padding_mask, seq_spmv, structure_signature)
 
 
 def _single_rank(nx, ny, nz):
@@ -36,12 +38,11 @@ def test_diagonal_value_and_position():
     assert np.all(A.values[rows, A.diag_pos] == 26.0)
     assert np.array_equal(A.col_global[rows, A.diag_pos], rows)
     # everything else in a row is -1 or padding
-    mask = np.ones_like(A.values, dtype=bool)
-    mask[rows, A.diag_pos] = False
-    offvals = A.values[mask]
-    offcols = A.col_idx[mask]
-    assert np.all(offvals[offcols != PAD] == -1.0)
-    assert np.all(offvals[offcols == PAD] == 0.0)
+    off = np.ones_like(A.values, dtype=bool)
+    off[rows, A.diag_pos] = False
+    pad = padding_mask(A)
+    assert np.all(A.values[off & ~pad] == -1.0)
+    assert np.all(A.values[pad] == 0.0)
 
 
 def test_entries_sorted_by_global_column():
@@ -49,7 +50,7 @@ def test_entries_sorted_by_global_column():
     for i in range(A.n_rows):
         cg = A.col_global[i, :A.row_nnz[i]]
         assert np.all(np.diff(cg) > 0), f"row {i} not ascending"
-        assert np.all(A.col_idx[i, A.row_nnz[i]:] == PAD)
+        assert np.all(A.col_idx[i, A.row_nnz[i]:] == i)   # padding
 
 
 def test_dense_agreement_on_4cubed():
@@ -90,6 +91,8 @@ def test_low_precision_copy_shares_structure():
     assert L.col_idx is A.col_idx
     assert L.col_global is A.col_global
     assert L.row_nnz is A.row_nnz
+    assert L.diag_pos is A.diag_pos
+    assert L._caches is A._caches
     assert structure_signature(L) == structure_signature(A)
 
 
@@ -98,11 +101,28 @@ def test_structure_signature_distinguishes_problems():
         structure_signature(_single_rank(2, 2, 2))
 
 
-def test_spmv_cols_replaces_padding():
-    A = _single_rank(2, 2, 2)
-    cols = A.spmv_cols()
-    assert cols.min() >= 0
-    assert cols.max() < A.n_rows
+def test_every_level_indexes_in_range_and_pads_with_its_own_row():
+    # Kernels read col_idx as stored: once the halo plan has run, every entry
+    # indexes the halo-tailed vector, and each padding slot holds its own
+    # row with the value 0.0, in both precisions.
+    gp = GlobalProblem.from_local(8, 8, 8, 2)
+
+    def worker(world, rank):
+        h = build_hierarchy(gp.domain(rank), 3, world, rank)
+        for lv in h.levels:
+            A = lv.A_hi
+            pad = padding_mask(A)
+            assert pad.any() and A.n_cols_extended > A.n_rows
+            assert A.col_idx.dtype == np.intp
+            assert A.col_idx.min() >= 0
+            assert A.col_idx.max() < A.n_cols_extended
+            own = np.broadcast_to(np.arange(A.n_rows)[:, None], pad.shape)
+            assert np.array_equal(A.col_idx[pad], own[pad])
+            assert np.all(A.values[pad] == 0.0)
+            assert np.all(lv.A_lo.values[pad] == 0.0)
+        return len(h.levels)
+
+    assert RankWorld(2).run(worker) == [3, 3]
 
 
 def test_packed_rows_are_shared_and_fixed_per_key():
@@ -111,7 +131,7 @@ def test_packed_rows_are_shared_and_fixed_per_key():
     rows = np.arange(0, A.n_rows, 3)
     vals, cols = A.packed("every third", rows)
     assert np.array_equal(vals, A.values[rows])
-    assert np.array_equal(cols, A.spmv_cols()[rows])
+    assert np.array_equal(cols, A.col_idx[rows])
     vals_lo, cols_lo = L.packed("every third", rows)
     assert cols_lo is cols
     assert vals_lo.dtype == np.float32 and np.array_equal(vals_lo, vals)
