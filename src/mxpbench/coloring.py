@@ -84,7 +84,7 @@ def color(A, strategy="greedy", seed=0):
                               if strategy == "jpl" else None)
     num_colors = int(colors.max()) + 1 if n else 0
     counts = np.bincount(colors, minlength=num_colors)
-    offsets = np.zeros(num_colors + 1, dtype=np.int64)
+    offsets = np.zeros(num_colors + 1, dtype=np.intp)
     np.cumsum(counts, out=offsets[1:])
     perm = np.lexsort((np.arange(n), colors))  # stable (color, original index)
     iperm = np.empty_like(perm)

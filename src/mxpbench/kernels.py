@@ -1,0 +1,227 @@
+"""The ELL row kernels in C, built on first import and called through ctypes.
+
+Two entry points per precision do every row accumulation of a solve:
+``row_dot`` (SpMV and the fused restriction) and ``relax`` (Gauss-Seidel,
+one packed row set or the colour blocks ``first..last-1``).  Their order
+of operations is fixed, so results are bitwise those of the sequential
+oracles: every row adds ``v[s] * x[c[s]]`` for ascending slots s into an
+accumulator that starts at +0.0, and a relaxed block zeroes its rows of z
+before their products and then sets ``z = (r - acc) / d``.  Rows of one
+block share no coupling, so a block is done in chunks of rows.
+``-ffp-contract=off`` keeps each product rounded before its add; a fused
+multiply-add would change bits.
+
+The source is compiled once with the system ``cc`` into
+``${XDG_CACHE_HOME:-~/.cache}/mxpbench/kernels-<sha256>.so``, the hash
+covering the source and the flags.  The library is written under a
+temporary name and renamed into place, so concurrent first imports are
+safe.  Without a C compiler the import fails; there is no other kernel.
+
+A row set's arguments (``row_set``, ``relax_set``) are ints and addresses,
+with the vector lengths the set needs; ``EllMatrix.row_args`` and
+``relax_args`` build a level's once.  Only the vectors are passed per call,
+and each is checked for its dtype, length, contiguity and writability
+before its address is taken.  ctypes releases the GIL for the call.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = r"""
+#include <stdint.h>
+
+#define CHUNK 256
+
+#define ROW_KERNELS(T, SUF)                                                  \
+/* acc[i] = sum over slots s of v[s*ld + i] * x[c[s*ld + i]], from +0.0 */   \
+static void accumulate_##SUF(intptr_t m, intptr_t width, intptr_t ld,        \
+                             const T *v, const int32_t *c, const T *x,       \
+                             T *acc)                                         \
+{                                                                            \
+    for (intptr_t i = 0; i < m; i++)                                         \
+        acc[i] = 0;                                                          \
+    for (intptr_t s = 0; s < width; s++) {                                   \
+        const T *vs = v + s * ld;                                            \
+        const int32_t *cs = c + s * ld;                                      \
+        for (intptr_t i = 0; i < m; i++)                                     \
+            acc[i] = acc[i] + vs[i] * x[cs[i]];                              \
+    }                                                                        \
+}                                                                            \
+                                                                             \
+/* y[row] = the row's sum for the set rows 0..n-1; row = rows[i], or i when  \
+   rows is NULL. */                                                          \
+void row_dot_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,      \
+                   const int32_t *c, const intptr_t *rows, const T *x, T *y) \
+{                                                                            \
+    T acc[CHUNK];                                                            \
+    for (intptr_t lo = 0; lo < n; lo += CHUNK) {                             \
+        intptr_t m = n - lo < CHUNK ? n - lo : CHUNK;                        \
+        accumulate_##SUF(m, width, ld, v + lo, c + lo, x, acc);              \
+        for (intptr_t i = 0; i < m; i++)                                     \
+            y[rows ? rows[lo + i] : lo + i] = acc[i];                        \
+    }                                                                        \
+}                                                                            \
+                                                                             \
+/* Relax blocks first..last-1; block k is set rows blocks[k]..blocks[k+1]-1, \
+   or all n set rows when blocks is NULL.  Rows of a block must not couple. */\
+void relax_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,        \
+                 const int32_t *c, const intptr_t *rows, const T *d,         \
+                 const intptr_t *blocks, intptr_t first, intptr_t last,      \
+                 const T *r, T *z)                                           \
+{                                                                            \
+    T acc[CHUNK];                                                            \
+    for (intptr_t k = first; k < last; k++) {                                \
+        intptr_t hi = blocks ? blocks[k + 1] : n;                            \
+        for (intptr_t lo = blocks ? blocks[k] : 0; lo < hi; lo += CHUNK) {   \
+            intptr_t m = hi - lo < CHUNK ? hi - lo : CHUNK;                  \
+            for (intptr_t i = lo; i < lo + m; i++)                           \
+                z[rows ? rows[i] : i] = 0;                                   \
+            accumulate_##SUF(m, width, ld, v + lo, c + lo, z, acc);          \
+            for (intptr_t i = 0; i < m; i++) {                               \
+                intptr_t row = rows ? rows[lo + i] : lo + i;                 \
+                z[row] = (r[row] - acc[i]) / d[row];                         \
+            }                                                                \
+        }                                                                    \
+    }                                                                        \
+}
+
+ROW_KERNELS(double, f64)
+ROW_KERNELS(float, f32)
+"""
+
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _library_path():
+    digest = hashlib.sha256("\0".join((SOURCE,) + CFLAGS).encode()).hexdigest()
+    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(cache) / "mxpbench" / f"kernels-{digest}.so"
+
+
+def _build(path):
+    """Compile SOURCE to ``path`` through a temporary name in its directory."""
+    import subprocess   # here, not above: it costs every run 0.3 MB of RSS
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise ImportError("mxpbench builds its row kernels with a C compiler, "
+                          "and no C compiler (cc) is on PATH")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+        src = Path(tmp) / "kernels.c"
+        src.write_text(SOURCE)
+        out = Path(tmp) / path.name
+        done = subprocess.run([cc, *CFLAGS, "-o", str(out), str(src)],
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise ImportError(f"cc could not build the row kernels:\n"
+                              f"{done.stderr}")
+        os.replace(out, path)
+
+
+def _load():
+    path = _library_path()
+    if not path.exists():
+        _build(path)
+    return ctypes.CDLL(str(path))
+
+
+_lib = _load()
+_N, _P = ctypes.c_ssize_t, ctypes.c_void_p
+
+
+def _entries(name, argtypes):
+    out = {}
+    for dtype, suffix in ((np.float64, "f64"), (np.float32, "f32")):
+        fn = getattr(_lib, f"{name}_{suffix}")
+        fn.argtypes, fn.restype = argtypes, None
+        out[np.dtype(dtype)] = fn
+    return out
+
+
+_ROW_DOT = _entries("row_dot", [_N, _N, _N, _P, _P, _P, _P, _P])
+_RELAX = _entries("relax", [_N, _N, _N, _P, _P, _P, _P, _P, _N, _N, _P, _P])
+_buffer = (ctypes.c_char * 0).from_buffer   # raises unless contiguous, writable
+
+
+def _address(a, dtype):
+    """Data address of ``a``, a C-contiguous ``dtype`` array; 0 for None."""
+    if a is None:
+        return 0
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError(f"a kernel argument must be a C-contiguous "
+                         f"{np.dtype(dtype)} array, not {a.dtype} with "
+                         f"strides {a.strides}")
+    return a.ctypes.data
+
+
+def row_set(vals, cols, n, out=None):
+    """``row_dot`` arguments of the first n rows of ``vals`` and ``cols``.
+
+    ``vals`` and ``cols`` (int32) are column-major arrays of one shape;
+    ``out`` lists the intp rows of the output that the set writes (None:
+    set row i writes entry i).  Returns ``(args, dtype, read, written)``:
+    the C arguments ``(n, width, ld, values, cols, out)``, the vectors'
+    dtype and the lengths the read and the written vector need.  A
+    negative column, one no halo plan has resolved, raises.
+    """
+    if cols.shape != vals.shape:
+        raise ValueError(f"values {vals.shape} and columns {cols.shape} differ")
+    read = written = 0
+    if n:
+        if cols[:n].min() < 0:
+            raise ValueError("a kernel row reads an unresolved halo column")
+        read = int(cols[:n].max()) + 1
+        written = n if out is None else int(out[:n].max()) + 1
+    args = (n, vals.shape[1], vals.shape[0], _address(vals.T, vals.dtype),
+            _address(cols.T, np.int32), _address(out, np.intp))
+    return args, vals.dtype, read, written
+
+
+def relax_set(rows, diag, blocks=None):
+    """``relax`` arguments: a ``row_set`` with its diagonal ``diag``.
+
+    ``blocks`` (intp) splits the set into blocks, set rows
+    ``blocks[k]..blocks[k+1]-1``; None makes the whole set one block.
+    Returns ``(args, dtype, read, written, n_blocks)``.
+    """
+    args, dtype, read, written = rows
+    n = args[0]
+    if len(diag) < written:
+        raise ValueError(f"diagonal of {len(diag)} rows for {written}")
+    if blocks is not None and (blocks[0] < 0 or blocks[-1] > n
+                               or np.any(np.diff(blocks) < 0)):
+        raise ValueError(f"blocks {blocks} do not split {n} rows")
+    return (args + (_address(diag, dtype), _address(blocks, np.intp)), dtype,
+            max(read, written), written,
+            1 if blocks is None else len(blocks) - 1)
+
+
+def _vector(a, dtype, size):
+    if a.dtype != dtype or a.size < size:
+        raise ValueError(f"a kernel vector must be {dtype} with at least "
+                         f"{size} entries, not {a.dtype} with {a.size}")
+    return _buffer(a)
+
+
+def row_dot(rows, x, y):
+    """Write the row sums over ``x`` of the ``row_set`` ``rows`` into ``y``."""
+    args, dtype, read, written = rows
+    _ROW_DOT[dtype](*args, _vector(x, dtype, read), _vector(y, dtype, written))
+
+
+def relax(rows, r, z, first=0, last=1):
+    """Relax blocks ``first..last-1`` of the ``relax_set`` ``rows`` in z."""
+    args, dtype, read, written, n_blocks = rows
+    if not 0 <= first <= last <= n_blocks:
+        raise ValueError(f"blocks {first}..{last} of {n_blocks}")
+    _RELAX[dtype](*args, first, last, _vector(r, dtype, written),
+                  _vector(z, dtype, read))

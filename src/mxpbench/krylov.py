@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
+
 # ``exchange`` stays bound here, unused: perfbench/test_perfbench.py checks
 # that its tracer wraps ``krylov.exchange``.
 from .comm import (ProtocolError, exchange,  # noqa: F401
                    exchange_overlapped, reduce_sum)
-from .problem import row_dot
 
 # A mixed inner cycle ends once its float32 recurrence norm falls below this
 # multiple of eps32 times the cycle's starting true residual.  Past that point
@@ -144,15 +145,15 @@ def spmv(A, x, plan=None, world=None, rank=0, *, tally):
     ``exchange`` followed by a call without a world.
     """
     with tally.timed("SpMV"):
+        y = np.empty(A.n_rows, dtype=x.dtype)
         if world is not None and plan is not None and plan.neighbors:
-            (rows_nh, v_nh, c_nh), (rows_h, v_h, c_h) = A.halo_packs()
-            y = np.zeros(A.n_rows, dtype=x.dtype)
+            interior, boundary = A.row_args("interior"), A.row_args("boundary")
             exchange_overlapped(
                 x, plan, world, rank,
-                lambda: y.__setitem__(rows_nh, row_dot(v_nh, c_nh, x)))
-            y[rows_h] = row_dot(v_h, c_h, x)
+                lambda: kernels.row_dot(interior, x, y))
+            kernels.row_dot(boundary, x, y)
         else:
-            y = row_dot(A.values, A.col_idx, x)
+            kernels.row_dot(A.row_args("all"), x, y)
     tally.add("spmv", A.dtype, nnz=A.nnz_total, n=A.n_rows)
     return y
 

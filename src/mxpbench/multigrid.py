@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .coloring import color as color_rows
 from .coloring import permute_system
 from .comm import build_halo_plan, exchange
-from .problem import generate_matrix, row_dot, to_low_precision
+from .problem import generate_matrix, to_low_precision
 from .smoother import SmootherWorkspace, forward_gs_sweep
 
 
@@ -106,7 +107,9 @@ def fused_residual_restrict(A_f, b_f, x_f, f2c, tally):
     same fixed order.  The new coarse residual has ``b_f``'s dtype.
     """
     with tally.timed("Restriction"):
-        r_c = b_f[f2c] - row_dot(*A_f.packed("f2c", f2c), x_f)
+        ax = np.empty(len(f2c), dtype=x_f.dtype)
+        kernels.row_dot(A_f.row_args("f2c", f2c), x_f, ax)
+        r_c = b_f[f2c] - ax
     tally.add("restrict_fused", A_f.dtype,
               nnz=int(A_f.row_nnz[f2c].sum()), n_c=len(f2c))
     return r_c

@@ -10,22 +10,25 @@ accumulates its products in the same order no matter who owns the columns.
 
 The n x 27 arrays are stored column-major (Fortran order), so one slot of all
 rows, ``values[:, s]``, is contiguous: the SELL-style layout (Kreutzer et al.,
-SISC 2014) that lets ``row_dot`` gather, multiply and reduce a whole row
-block in three numpy calls.  Row subsets are packed in the same layout.
+SISC 2014) that the C row kernels of ``kernels`` walk slot by slot over a
+block of rows.  Row subsets are packed in the same layout.
 
-``col_idx`` is the one index array, held in the form the kernels read: intp,
-the index type ``np.take`` uses, with each padding slot pointing at its own
-row (value 0.0).  Once a halo plan has run every entry lies in
-``[0, n_cols_extended)``; until then columns owned by other ranks hold
-``UNRESOLVED``, the one sentinel.  A padding product is a signed zero, and
-adding it to an accumulator that starts at +0.0 changes no bit.
+``col_idx`` is the one index array, held in the form the kernels read: int32,
+with each padding slot pointing at its own row (value 0.0).  Once a halo
+plan has run every entry lies in ``[0, n_cols_extended)``; until then columns
+owned by other ranks hold ``UNRESOLVED``, the one sentinel.  A padding
+product is a signed zero, and adding it to an accumulator that starts at
++0.0 changes no bit.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from . import kernels
 
 STENCIL_WIDTH = 27
 
@@ -49,7 +52,7 @@ class EllMatrix:
 
     ``values``, ``col_idx`` and ``col_global`` are n x width and column-major,
     slot s of every row contiguous; slot order within a row is ascending
-    global column and never changes.  ``col_idx`` (intp) holds local row
+    global column and never changes.  ``col_idx`` (int32) holds local row
     indices for owned columns and, once ``assign_halo_slots`` has run, halo
     slot indices (>= n_rows) for neighbor-owned columns; before that they
     are UNRESOLVED.  A padding slot (s >= row_nnz[i]) holds value 0.0 and
@@ -115,21 +118,57 @@ class EllMatrix:
         self.n_cols_extended = n_cols_extended
         self._caches.clear()
 
-    def halo_packs(self, below=None):
+    def halo_packs(self):
         """(rows, values, cols) of the rows without, then with, halo columns.
 
-        Rows ascend in each pack; ``below`` keeps only the rows < below.
+        Rows ascend in each pack.
         """
         def split():
             has_halo = self.col_idx.max(axis=1) >= self.n_rows  # no n x 27 temporary
             return np.flatnonzero(~has_halo), np.flatnonzero(has_halo)
-        out = []
-        for key, rows in zip(("interior", "boundary"),
-                             self._cached("halo_rows", split)):
-            k = len(rows) if below is None else np.searchsorted(rows, below)
-            vals, cols = self.packed(key, rows)
-            out.append((rows[:k], vals[:k], cols[:k]))
-        return out
+        return [(rows, *self.packed(key, rows)) for key, rows in
+                zip(("interior", "boundary"), self._cached("halo_rows", split))]
+
+    def _kernel_cached(self, key, build, keep=None):
+        """``build()`` once per key and precision, for the array ``keep``.
+
+        The entry holds ``keep`` and a weak reference to the values it was
+        built from, beside the ints and addresses: it is rebuilt when either
+        differs, so no address outlives its array.
+        """
+        key = (key, self.dtype)
+        got = self._caches.get(key)
+        if got is None or got[0]() is not self.values or got[1] is not keep:
+            got = self._caches[key] = (weakref.ref(self.values), keep, build())
+        return got[2]
+
+    def row_args(self, key, rows=None, below=None):
+        """The ``kernels.row_set`` of the row set ``key``, built once.
+
+        "all" is every row.  The halo sets "interior" and "boundary" of
+        ``halo_packs`` write their own rows of the output; any other key
+        names ``rows``, packed by ``packed``, and writes set row i to entry
+        i.  With ``below``, only the set's rows < below count.
+        """
+        def build():
+            out = None
+            if key == "all":
+                vals, cols = self.values, self.col_idx
+            elif key in ("interior", "boundary"):
+                out, vals, cols = self.halo_packs()[key == "boundary"]
+            else:
+                vals, cols = self.packed(key, rows)
+            n = len(vals) if below is None else int(np.searchsorted(out, below))
+            return kernels.row_set(vals, cols, n, out)
+        return self._kernel_cached(("row_args", key, below), build, rows)
+
+    def relax_args(self, key, below=None, blocks=None):
+        """The ``kernels.relax_set`` of ``row_args(key, below=below)``, split
+        into blocks by the intp color offsets ``blocks``, built once."""
+        def build():
+            return kernels.relax_set(self.row_args(key, below=below),
+                                     self.diagonal(), blocks)
+        return self._kernel_cached(("relax_args", key, below), build, blocks)
 
 
 def take_rows(a, rows):
@@ -140,27 +179,17 @@ def take_rows(a, rows):
 def row_dot(vals, cols, x):
     """Per-row sum of ``vals[:, s] * x[cols[:, s]]``, slots in ascending order.
 
-    The one ELL accumulation kernel: gather, multiply and reduce, three numpy
-    calls for any number of rows.  Column-major ``vals``/``cols`` make the
-    slot-major transposes cheap to walk.  ``np.take`` returns the products
-    row-major, 27 x rows, so the reduction over axis 0 adds them slot by slot
-    into an accumulator of x's dtype that starts at +0.0, exactly as a
-    per-row loop does; any subset of rows thus gives each row the same bits.
-    (``x[cols.T]`` promises no layout, and column-major products would be
-    reduced pairwise.)  A stored ``col_idx`` is in range by construction,
-    padding included, so ``mode="wrap"`` never wraps; it only spares the
-    raising bounds check (about 15% of the gather at 32^3).
-
-    One row is special: numpy sums a lone column of products pairwise, not
-    in order.  Its running sum in slot order ends on the loop's sum, except
-    that it can end on -0.0 where the loop, starting from +0.0, ends on
-    +0.0; adding +0 maps that back.
+    The C kernel behind every SpMV, restriction and sweep, for arrays of any
+    layout: ``vals`` and ``cols`` are first copied, where they differ, to
+    column-major arrays of x's dtype and of int32.  Each row adds its
+    products in slot order into an accumulator of x's dtype that starts at
+    +0.0, so any subset of rows gives each row the same bits.
     """
-    prod = np.take(x, cols.T, mode="wrap")
-    prod *= vals.T
-    if prod.shape[1] == 1:
-        return np.cumsum(prod[:, 0])[-1:] + 0
-    return np.add.reduce(prod, axis=0, initial=0)
+    vals = np.asfortranarray(vals, dtype=x.dtype)
+    cols = np.asfortranarray(cols, dtype=np.int32)
+    y = np.empty(len(vals), dtype=x.dtype)
+    kernels.row_dot(kernels.row_set(vals, cols, len(vals)), x, y)
+    return y
 
 
 def generate_matrix(domain):
@@ -181,7 +210,7 @@ def generate_matrix(domain):
 
     # Column-major from the start; unfilled slots stay padding (0.0, own row).
     vals = np.zeros((n, STENCIL_WIDTH), order="F")
-    cols = np.tile(np.arange(n, dtype=np.intp), (STENCIL_WIDTH, 1)).T
+    cols = np.tile(np.arange(n, dtype=np.int32), (STENCIL_WIDTH, 1)).T
     colg = np.full((n, STENCIL_WIDTH), -1, dtype=np.int64, order="F")
     row_nnz = np.zeros(n, dtype=np.int32)
 

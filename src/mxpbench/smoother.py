@@ -8,22 +8,23 @@ accumulation order is fixed (ascending global column), which keeps sweeps
 bitwise reproducible and lets a plain sequential sweep over the reordered
 matrix serve as an oracle.
 
-A block is a row slice of the one stored matrix, diagonal included.  Its
-rows of z are zeroed first, so each row's diagonal product is a zero (as is
-a padding product, which reads the row's own z too); the accumulator starts
-at +0.0 and under round-to-nearest never becomes -0.0, so adding that zero
-changes no bit.  The result is bitwise that of skipping
-the diagonal, with no second value array.
+A block is a row slice of the one stored matrix, diagonal included, relaxed
+by the C kernel ``kernels.relax``.  Its rows of z are zeroed first, so each
+row's diagonal product is a zero (as is a padding product, which reads the
+row's own z too); the accumulator starts at +0.0 and under round-to-nearest
+never becomes -0.0, so adding that zero changes no bit.  The result is
+bitwise that of skipping the diagonal, with no second value array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
+
 # ``exchange`` stays bound here, unused: perfbench/test_perfbench.py checks
 # that its tracer wraps ``smoother.exchange``.
 from .comm import exchange, exchange_overlapped  # noqa: F401
-from .problem import row_dot
 
 
 @dataclass
@@ -39,11 +40,6 @@ class SmootherWorkspace:
             raise ValueError("sweep counts must all be >= 1")
 
 
-def _relax(z, r, rows, vals, cols, diag):
-    z[rows] = 0   # the rows' own diagonal products become zeros
-    z[rows] = (r[rows] - row_dot(vals, cols, z)) / diag[rows]
-
-
 def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
                      z_is_zero=False, *, tally):
     """One forward sweep: z_i <- (r_i - sum_{j!=i} a_ij z_j) / a_ii, color by color.
@@ -55,7 +51,6 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
     they land; the result is bitwise that of ``exchange`` followed by a sweep
     without a world.  The sweep's time and work go to ``tally``.
     """
-    vals, cols, diag = A.values, A.col_idx, A.diagonal()
     offsets = coloring.color_offsets
 
     with tally.timed("GS"):
@@ -64,12 +59,12 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
             z[:] = 0
         elif world is not None and plan is not None and plan.neighbors:
             # Color 0 is rows [0, offsets[1]).
-            interior, boundary = A.halo_packs(below=offsets[1])
+            interior, boundary = (A.relax_args(key, below=offsets[1])
+                                  for key in ("interior", "boundary"))
             exchange_overlapped(z, plan, world, rank,
-                                lambda: _relax(z, r, *interior, diag))
-            _relax(z, r, *boundary, diag)
+                                lambda: kernels.relax(interior, r, z))
+            kernels.relax(boundary, r, z)
             first = 1
-        for c in range(first, coloring.num_colors):
-            lo, hi = int(offsets[c]), int(offsets[c + 1])
-            _relax(z, r, slice(lo, hi), vals[lo:hi], cols[lo:hi], diag)
+        kernels.relax(A.relax_args("all", blocks=offsets), r, z, first,
+                      coloring.num_colors)
     tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)

@@ -361,16 +361,16 @@ def greedy_color_dense(D):
 def ell_from_dense(D):
     """Hand-build an EllMatrix from a dense pattern (tests only).
 
-    Padding is stored as ``generate_matrix`` stores it: value 0.0, column
-    the row's own index.
+    The arrays are stored as ``generate_matrix`` stores them: column-major,
+    int32 columns, padding with value 0.0 and the row's own column.
     """
     from mxpbench.problem import EllMatrix
 
     n = D.shape[0]
     width = int(max((D[i] != 0).sum() for i in range(n)))
-    values = np.zeros((n, width))
-    col_idx = np.tile(np.arange(n, dtype=np.intp), (width, 1)).T
-    col_global = -np.ones((n, width), dtype=np.int64)
+    values = np.zeros((n, width), order="F")
+    col_idx = np.tile(np.arange(n, dtype=np.int32), (width, 1)).T
+    col_global = np.full((n, width), -1, dtype=np.int64, order="F")
     row_nnz = np.zeros(n, dtype=np.int32)
     diag_pos = np.zeros(n, dtype=np.int32)
     for i in range(n):

@@ -113,7 +113,7 @@ def test_every_level_indexes_in_range_and_pads_with_its_own_row():
             A = lv.A_hi
             pad = padding_mask(A)
             assert pad.any() and A.n_cols_extended > A.n_rows
-            assert A.col_idx.dtype == np.intp
+            assert A.col_idx.dtype == np.int32
             assert A.col_idx.min() >= 0
             assert A.col_idx.max() < A.n_cols_extended
             own = np.broadcast_to(np.arange(A.n_rows)[:, None], pad.shape)
