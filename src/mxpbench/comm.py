@@ -172,10 +172,10 @@ def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
 
     Each rank tells every geometric neighbor which of its global columns it
     needs; the mirrored request becomes the send list.  A's UNRESOLVED column
-    entries are rewritten to slot indices >= n_rows through
-    ``A.assign_halo_slots``, which also drops A's derived arrays.  Raises
-    TopologyError if a referenced column is owned by a rank that is not a
-    geometric neighbor.
+    entries are rewritten in place to slot indices >= n_rows, and
+    ``A.n_cols_extended`` grows to cover them; A's kernel sets are built
+    after this.  Raises TopologyError if a referenced column is owned by a
+    rank that is not a geometric neighbor.
     """
     n = A.n_rows
     off_mask = A.col_idx == UNRESOLVED
@@ -209,7 +209,8 @@ def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
 
     slots = np.empty(len(off_globals), dtype=np.int32)
     slots[order] = np.arange(n, n + len(off_globals))
-    A.assign_halo_slots(off_mask, slots[entry_of], n + len(off_globals))
+    A.col_idx[off_mask] = slots[entry_of]
+    A.n_cols_extended = n + len(off_globals)
     return plan
 
 

@@ -17,11 +17,12 @@ covering the source and the flags.  The library is written under a
 temporary name and renamed into place, so concurrent first imports are
 safe.  Without a C compiler the import fails; there is no other kernel.
 
-A row set's arguments (``row_set``, ``relax_set``) are ints and addresses,
-with the vector lengths the set needs; ``EllMatrix.row_args`` and
-``relax_args`` build a level's once.  Only the vectors are passed per call,
-and each is checked for its dtype, length, contiguity and writability
-before its address is taken.  ctypes releases the GIL for the call.
+A row set (``row_set``, ``relax_set``) holds its C arguments as ints and
+addresses, the vector lengths it needs, and every array whose address it
+carries, so no address outlives its array; ``problem.attach_sets`` builds
+a level's sets once, at set-up.  Only the vectors are passed per call, and
+each is checked for its dtype, length, contiguity and writability before
+its address is taken.  ctypes releases the GIL for the call.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,15 +165,24 @@ def _address(a, dtype):
     return a.ctypes.data
 
 
+class RowSet(NamedTuple):
+    """A row set's C arguments, from ``row_set`` or ``relax_set``."""
+
+    args: tuple         # ints: counts, and the addresses of ``arrays``
+    dtype: np.dtype     # the vectors' dtype
+    read: int           # entries the read vector needs
+    written: int        # entries the written vector needs
+    arrays: tuple       # every array whose address ``args`` carries
+    n_blocks: int = 0   # relax blocks; 0 for a ``row_dot`` set
+
+
 def row_set(vals, cols, n, out=None):
-    """``row_dot`` arguments of the first n rows of ``vals`` and ``cols``.
+    """The ``row_dot`` set of the first n rows of ``vals`` and ``cols``.
 
     ``vals`` and ``cols`` (int32) are column-major arrays of one shape;
     ``out`` lists the intp rows of the output that the set writes (None:
-    set row i writes entry i).  Returns ``(args, dtype, read, written)``:
-    the C arguments ``(n, width, ld, values, cols, out)``, the vectors'
-    dtype and the lengths the read and the written vector need.  A
-    negative column, one no halo plan has resolved, raises.
+    set row i writes entry i).  A negative column, one no halo plan has
+    resolved, raises.
     """
     if cols.shape != vals.shape:
         raise ValueError(f"values {vals.shape} and columns {cols.shape} differ")
@@ -183,26 +194,25 @@ def row_set(vals, cols, n, out=None):
         written = n if out is None else int(out[:n].max()) + 1
     args = (n, vals.shape[1], vals.shape[0], _address(vals.T, vals.dtype),
             _address(cols.T, np.int32), _address(out, np.intp))
-    return args, vals.dtype, read, written
+    return RowSet(args, vals.dtype, read, written, (vals, cols, out))
 
 
 def relax_set(rows, diag, blocks=None):
-    """``relax`` arguments: a ``row_set`` with its diagonal ``diag``.
+    """The ``relax`` set of the ``row_set`` ``rows``, with its diagonal.
 
     ``blocks`` (intp) splits the set into blocks, set rows
     ``blocks[k]..blocks[k+1]-1``; None makes the whole set one block.
-    Returns ``(args, dtype, read, written, n_blocks)``.
     """
-    args, dtype, read, written = rows
-    n = args[0]
-    if len(diag) < written:
-        raise ValueError(f"diagonal of {len(diag)} rows for {written}")
+    n = rows.args[0]
+    if len(diag) < rows.written:
+        raise ValueError(f"diagonal of {len(diag)} rows for {rows.written}")
     if blocks is not None and (blocks[0] < 0 or blocks[-1] > n
                                or np.any(np.diff(blocks) < 0)):
         raise ValueError(f"blocks {blocks} do not split {n} rows")
-    return (args + (_address(diag, dtype), _address(blocks, np.intp)), dtype,
-            max(read, written), written,
-            1 if blocks is None else len(blocks) - 1)
+    return RowSet(
+        rows.args + (_address(diag, rows.dtype), _address(blocks, np.intp)),
+        rows.dtype, max(rows.read, rows.written), rows.written,
+        rows.arrays + (diag, blocks), 1 if blocks is None else len(blocks) - 1)
 
 
 def _vector(a, dtype, size):
@@ -214,14 +224,14 @@ def _vector(a, dtype, size):
 
 def row_dot(rows, x, y):
     """Write the row sums over ``x`` of the ``row_set`` ``rows`` into ``y``."""
-    args, dtype, read, written = rows
-    _ROW_DOT[dtype](*args, _vector(x, dtype, read), _vector(y, dtype, written))
+    _ROW_DOT[rows.dtype](*rows.args, _vector(x, rows.dtype, rows.read),
+                         _vector(y, rows.dtype, rows.written))
 
 
 def relax(rows, r, z, first=0, last=1):
     """Relax blocks ``first..last-1`` of the ``relax_set`` ``rows`` in z."""
-    args, dtype, read, written, n_blocks = rows
-    if not 0 <= first <= last <= n_blocks:
-        raise ValueError(f"blocks {first}..{last} of {n_blocks}")
-    _RELAX[dtype](*args, first, last, _vector(r, dtype, written),
-                  _vector(z, dtype, read))
+    if not 0 <= first <= last <= rows.n_blocks:
+        raise ValueError(f"blocks {first}..{last} of {rows.n_blocks}")
+    _RELAX[rows.dtype](*rows.args, first, last,
+                       _vector(r, rows.dtype, rows.written),
+                       _vector(z, rows.dtype, rows.read))

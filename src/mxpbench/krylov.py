@@ -147,13 +147,13 @@ def spmv(A, x, plan=None, world=None, rank=0, *, tally):
     with tally.timed("SpMV"):
         y = np.empty(A.n_rows, dtype=x.dtype)
         if world is not None and plan is not None and plan.neighbors:
-            interior, boundary = A.row_args("interior"), A.row_args("boundary")
+            (interior, _), (boundary, _) = A.sets.halo
             exchange_overlapped(
                 x, plan, world, rank,
                 lambda: kernels.row_dot(interior, x, y))
             kernels.row_dot(boundary, x, y)
         else:
-            kernels.row_dot(A.row_args("all"), x, y)
+            kernels.row_dot(A.sets.all, x, y)
     tally.add("spmv", A.dtype, nnz=A.nnz_total, n=A.n_rows)
     return y
 

@@ -20,7 +20,7 @@ from . import kernels
 from .coloring import color as color_rows
 from .coloring import permute_system
 from .comm import build_halo_plan, exchange
-from .problem import generate_matrix, to_low_precision
+from .problem import attach_sets, generate_matrix, to_low_precision
 from .smoother import SmootherWorkspace, forward_gs_sweep
 
 
@@ -55,6 +55,8 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
                     seed=0, sweeps=None):
     """Generate, color, reorder and plan every level below ``domain``.
 
+    Once every level exists, each one's kernel row sets are built in both
+    precisions (``problem.attach_sets``); nothing is derived after set-up.
     Raises CoarseningError (from the domain) if the local box cannot be
     halved ``levels - 1`` times.
     """
@@ -80,6 +82,9 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
         out.append(level)
         if lev + 1 < levels:
             dom = dom.coarsen()
+    for level, coarse in zip(out, out[1:] + [None]):
+        attach_sets((level.A_hi, level.A_lo), level.coloring.color_offsets,
+                    None if coarse is None else coarse.f2c)
     return MgHierarchy(levels=out, sweeps=sweeps, world=world, rank=rank)
 
 
@@ -98,20 +103,20 @@ def _injection_map(coarse_dom, fine_dom, coarse_perm, fine_iperm):
     return fine_iperm[f_nat[coarse_perm]]
 
 
-def fused_residual_restrict(A_f, b_f, x_f, f2c, tally):
+def fused_residual_restrict(A_f, b_f, x_f, tally):
     """Return r_c[i] = b_f[f2c(i)] - (A_f @ x_f)[f2c(i)], computed only there.
 
-    ``x_f`` must have a fresh halo tail.  ``A_f`` packs the ``f2c`` rows on
-    the first call and takes no other ``f2c`` array after it.  Bitwise equal
-    to restricting the full residual because each row accumulates in the
-    same fixed order.  The new coarse residual has ``b_f``'s dtype.
+    f2c is the next level's, packed into ``A_f.sets.restrict`` at set-up.
+    ``x_f`` must have a fresh halo tail.  Bitwise equal to restricting the
+    full residual because each row accumulates in the same fixed order.
+    The new coarse residual has ``b_f``'s dtype.
     """
+    f2c, rows, nnz = A_f.sets.restrict
     with tally.timed("Restriction"):
         ax = np.empty(len(f2c), dtype=x_f.dtype)
-        kernels.row_dot(A_f.row_args("f2c", f2c), x_f, ax)
+        kernels.row_dot(rows, x_f, ax)
         r_c = b_f[f2c] - ax
-    tally.add("restrict_fused", A_f.dtype,
-              nnz=int(A_f.row_nnz[f2c].sum()), n_c=len(f2c))
+    tally.add("restrict_fused", A_f.dtype, nnz=nnz, n_c=len(f2c))
     return r_c
 
 
@@ -145,10 +150,9 @@ def mg_vcycle(h, level, r, tally):
         return z[:n]
 
     exchange(z, lv.plan, h.world, h.rank)
-    f2c = h.levels[level + 1].f2c
-    rc = fused_residual_restrict(A, r, z, f2c, tally)
+    rc = fused_residual_restrict(A, r, z, tally)
     zc = mg_vcycle(h, level + 1, rc, tally)
-    prolong_add(z, zc, f2c, tally)
+    prolong_add(z, zc, h.levels[level + 1].f2c, tally)
     for _ in range(sw.nu2):
         forward_gs_sweep(A, r, z, lv.coloring, lv.plan, h.world, h.rank,
                          tally=tally)

@@ -11,7 +11,7 @@ accumulates its products in the same order no matter who owns the columns.
 The n x 27 arrays are stored column-major (Fortran order), so one slot of all
 rows, ``values[:, s]``, is contiguous: the SELL-style layout (Kreutzer et al.,
 SISC 2014) that the C row kernels of ``kernels`` walk slot by slot over a
-block of rows.  Row subsets are packed in the same layout.
+block of rows.  ``attach_sets`` packs row subsets in the same layout, once.
 
 ``col_idx`` is the one index array, held in the form the kernels read: int32,
 with each padding slot pointing at its own row (value 0.0).  Once a halo
@@ -23,8 +23,8 @@ product is a signed zero, and adding it to an accumulator that starts at
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ UNRESOLVED = -2
 
 
 class SingularDiagonal(Exception):
-    """A zero diagonal entry reached the smoother (corrupt input guard)."""
+    """A matrix has a zero diagonal entry, which Gauss-Seidel divides by."""
 
 
 @dataclass
@@ -53,12 +53,13 @@ class EllMatrix:
     ``values``, ``col_idx`` and ``col_global`` are n x width and column-major,
     slot s of every row contiguous; slot order within a row is ascending
     global column and never changes.  ``col_idx`` (int32) holds local row
-    indices for owned columns and, once ``assign_halo_slots`` has run, halo
-    slot indices (>= n_rows) for neighbor-owned columns; before that they
-    are UNRESOLVED.  A padding slot (s >= row_nnz[i]) holds value 0.0 and
+    indices for owned columns and, once a halo plan has run, halo slot
+    indices (>= n_rows) for neighbor-owned columns; before that they are
+    UNRESOLVED.  A padding slot (s >= row_nnz[i]) holds value 0.0 and
     column i, so every kernel reads ``col_idx`` as it is.  ``col_global``
     keeps the global ids of all entries, -1 for padding.  ``diag_pos[i]`` is
-    the position of the diagonal within row i.
+    the position of the diagonal within row i.  ``sets`` holds the kernel
+    row sets, ``KernelSets``, once ``attach_sets`` has run.
     """
 
     n_rows: int
@@ -70,126 +71,67 @@ class EllMatrix:
     diag_pos: np.ndarray
     nnz_total: int
     n_cols_extended: int
-    _caches: dict = field(default_factory=dict, repr=False)
+    sets: object = field(default=None, repr=False)
 
     @property
     def dtype(self):
         return self.values.dtype
 
-    def _cached(self, key, build):
-        """``build()`` once per key, in a store both precisions share.
 
-        Index arrays thus exist once per level; value keys carry the dtype.
-        """
-        got = self._caches.get(key)
-        if got is None:
-            got = self._caches[key] = build()
-        return got
+class KernelSets(NamedTuple):
+    """The kernel row sets of one level in one precision."""
 
-    def diagonal(self):
-        """The diagonal in this precision, built once; its users divide by it."""
-        def build():
-            diag = self.values[np.arange(self.n_rows), self.diag_pos]
-            if np.any(diag == 0):
-                raise SingularDiagonal("zero diagonal entry in smoother input")
-            return diag
-        return self._cached(("diag", self.dtype), build)
+    all: kernels.RowSet     # every row, in order
+    relax: kernels.RowSet   # every row, one relax block per colour
+    halo: tuple     # (row_dot set, colour-0 relax set) of the rows without,
+                    # then with, halo columns; None without halo columns
+    restrict: tuple     # (f2c, row_dot set of rows f2c, their stored
+                        # entries) for the next level; None on the coarsest
 
-    def packed(self, key, rows):
-        """(values[rows], col_idx[rows]) for the row set ``key``, built once.
 
-        Both are column-major like the stored arrays.  A key names one row
-        array for the matrix's life; another one raises.
-        """
-        first, cols = self._cached(
-            key, lambda: (rows, take_rows(self.col_idx, rows)))
-        if first is not rows:
-            raise ValueError(f"row set {key!r} was packed from another array")
-        vals = self._cached((key, self.dtype),
-                            lambda: take_rows(self.values, rows))
-        return vals, cols
+def attach_sets(matrices, color_offsets, f2c=None):
+    """Build one level's ``KernelSets`` and set each matrix's ``sets``.
 
-    def assign_halo_slots(self, mask, slots, n_cols_extended):
-        """Write halo slot ids into the ``mask`` entries of ``col_idx``.
-
-        Every array derived from the old ``col_idx`` is dropped with it.
-        """
-        self.col_idx[mask] = slots
-        self.n_cols_extended = n_cols_extended
-        self._caches.clear()
-
-    def halo_packs(self):
-        """(rows, values, cols) of the rows without, then with, halo columns.
-
-        Rows ascend in each pack.
-        """
-        def split():
-            has_halo = self.col_idx.max(axis=1) >= self.n_rows  # no n x 27 temporary
-            return np.flatnonzero(~has_halo), np.flatnonzero(has_halo)
-        return [(rows, *self.packed(key, rows)) for key, rows in
-                zip(("interior", "boundary"), self._cached("halo_rows", split))]
-
-    def _kernel_cached(self, key, build, keep=None):
-        """``build()`` once per key and precision, for the array ``keep``.
-
-        The entry holds ``keep`` and a weak reference to the values it was
-        built from, beside the ints and addresses: it is rebuilt when either
-        differs, so no address outlives its array.
-        """
-        key = (key, self.dtype)
-        got = self._caches.get(key)
-        if got is None or got[0]() is not self.values or got[1] is not keep:
-            got = self._caches[key] = (weakref.ref(self.values), keep, build())
-        return got[2]
-
-    def row_args(self, key, rows=None, below=None):
-        """The ``kernels.row_set`` of the row set ``key``, built once.
-
-        "all" is every row.  The halo sets "interior" and "boundary" of
-        ``halo_packs`` write their own rows of the output; any other key
-        names ``rows``, packed by ``packed``, and writes set row i to entry
-        i.  With ``below``, only the set's rows < below count.
-        """
-        def build():
-            out = None
-            if key == "all":
-                vals, cols = self.values, self.col_idx
-            elif key in ("interior", "boundary"):
-                out, vals, cols = self.halo_packs()[key == "boundary"]
-            else:
-                vals, cols = self.packed(key, rows)
-            n = len(vals) if below is None else int(np.searchsorted(out, below))
-            return kernels.row_set(vals, cols, n, out)
-        return self._kernel_cached(("row_args", key, below), build, rows)
-
-    def relax_args(self, key, below=None, blocks=None):
-        """The ``kernels.relax_set`` of ``row_args(key, below=below)``, split
-        into blocks by the intp color offsets ``blocks``, built once."""
-        def build():
-            return kernels.relax_set(self.row_args(key, below=below),
-                                     self.diagonal(), blocks)
-        return self._kernel_cached(("relax_args", key, below), build, blocks)
+    ``matrices`` are the level's precision twins, which share ``col_idx``:
+    each index pack is built once for all of them, each value pack and the
+    diagonal once per matrix.  Run it after the halo plan.
+    ``color_offsets`` (intp) splits the rows into colour blocks; ``f2c``
+    lists the rows the next level injects from.  A zero diagonal raises
+    SingularDiagonal; an unresolved column, ValueError.
+    """
+    A0 = matrices[0]
+    n = A0.n_rows
+    halo = []
+    if A0.n_cols_extended > n:
+        has_halo = A0.col_idx.max(axis=1) >= n      # no n x 27 temporary
+        halo = [(rows, take_rows(A0.col_idx, rows),
+                 int(np.searchsorted(rows, color_offsets[1])))
+                for rows in (np.flatnonzero(~has_halo),
+                             np.flatnonzero(has_halo))]
+    if f2c is not None:
+        f2c_cols = take_rows(A0.col_idx, f2c)
+        f2c_nnz = int(A0.row_nnz[f2c].sum())
+    for A in matrices:
+        diag = A.values[np.arange(n), A.diag_pos]
+        if np.any(diag == 0):
+            raise SingularDiagonal("zero diagonal entry in smoother input")
+        packs = []
+        for rows, cols, below in halo:
+            vals = take_rows(A.values, rows)
+            packs.append((kernels.row_set(vals, cols, len(rows), rows),
+                          kernels.relax_set(
+                              kernels.row_set(vals, cols, below, rows), diag)))
+        everything = kernels.row_set(A.values, A.col_idx, n)
+        A.sets = KernelSets(
+            everything, kernels.relax_set(everything, diag, color_offsets),
+            tuple(packs) or None, None if f2c is None else (
+                f2c, kernels.row_set(take_rows(A.values, f2c), f2c_cols,
+                                     len(f2c)), f2c_nnz))
 
 
 def take_rows(a, rows):
     """``a[rows]`` as a new column-major array (``a[rows]`` is row-major)."""
     return np.take(a.T, rows, axis=1).T
-
-
-def row_dot(vals, cols, x):
-    """Per-row sum of ``vals[:, s] * x[cols[:, s]]``, slots in ascending order.
-
-    The C kernel behind every SpMV, restriction and sweep, for arrays of any
-    layout: ``vals`` and ``cols`` are first copied, where they differ, to
-    column-major arrays of x's dtype and of int32.  Each row adds its
-    products in slot order into an accumulator of x's dtype that starts at
-    +0.0, so any subset of rows gives each row the same bits.
-    """
-    vals = np.asfortranarray(vals, dtype=x.dtype)
-    cols = np.asfortranarray(cols, dtype=np.int32)
-    y = np.empty(len(vals), dtype=x.dtype)
-    kernels.row_dot(kernels.row_set(vals, cols, len(vals)), x, y)
-    return y
 
 
 def generate_matrix(domain):
@@ -256,13 +198,13 @@ def generate_rhs(A):
 
 
 def to_low_precision(A):
-    """Single-precision copy of A sharing every other field.
+    """Single-precision copy of A sharing every other field but ``sets``.
 
     The entry values 26 and -1 are exact in binary32, so only the value array
-    narrows; indices, counts, diagonal positions and the store of derived
-    arrays are shared by reference.
+    narrows; indices, counts and diagonal positions are shared by reference.
+    The copy has no kernel sets until ``attach_sets`` builds them.
     """
-    return replace(A, values=A.values.astype(np.float32))
+    return replace(A, values=A.values.astype(np.float32), sets=None)
 
 
 def write_matrix_market(path, A, global_rows, n_global):

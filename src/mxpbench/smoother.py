@@ -51,20 +51,15 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
     they land; the result is bitwise that of ``exchange`` followed by a sweep
     without a world.  The sweep's time and work go to ``tally``.
     """
-    offsets = coloring.color_offsets
-
     with tally.timed("GS"):
         first = 0
         if z_is_zero:
             z[:] = 0
         elif world is not None and plan is not None and plan.neighbors:
-            # Color 0 is rows [0, offsets[1]).
-            interior, boundary = (A.relax_args(key, below=offsets[1])
-                                  for key in ("interior", "boundary"))
+            (_, interior), (_, boundary) = A.sets.halo
             exchange_overlapped(z, plan, world, rank,
                                 lambda: kernels.relax(interior, r, z))
             kernels.relax(boundary, r, z)
             first = 1
-        kernels.relax(A.relax_args("all", blocks=offsets), r, z, first,
-                      coloring.num_colors)
+        kernels.relax(A.sets.relax, r, z, first, coloring.num_colors)
     tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)

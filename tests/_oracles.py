@@ -85,6 +85,39 @@ def oracle_cols(A):
     return cols
 
 
+def with_sets(A, coloring=None):
+    """``A`` with its kernel row sets attached, for a matrix outside a
+    hierarchy (``build_hierarchy`` attaches its own).
+
+    ``A`` gets sets of its own, shared with no precision twin.  Without a
+    ``coloring`` all rows form one block: enough for SpMV, but no valid
+    Gauss-Seidel order.
+    """
+    from mxpbench.problem import attach_sets
+
+    offsets = (np.array([0, A.n_rows]) if coloring is None
+               else coloring.color_offsets)
+    attach_sets((A,), offsets)
+    return A
+
+
+def row_dot(vals, cols, x):
+    """Per-row sum of ``vals[:, s] * x[cols[:, s]]`` by the C kernel, for
+    arrays of any layout.
+
+    ``vals`` and ``cols`` are first copied, where they differ, to
+    column-major arrays of x's dtype and of int32, the layout the kernel
+    reads.
+    """
+    from mxpbench import kernels
+
+    vals = np.asfortranarray(vals, dtype=x.dtype)
+    cols = np.asfortranarray(cols, dtype=np.int32)
+    y = np.empty(len(vals), dtype=x.dtype)
+    kernels.row_dot(kernels.row_set(vals, cols, len(vals)), x, y)
+    return y
+
+
 # -- sequential kernels with operation counters --------------------------------
 
 

@@ -37,6 +37,7 @@ from _oracles import (
     seq_restrict_residual,
     seq_spmv,
     strip_timing,
+    with_sets,
 )
 
 
@@ -76,7 +77,7 @@ def test_criterion_1_oracle_equivalence():
     rng = np.random.default_rng(1)
 
     # ELL SpMV against the sequential oracle, 4^3, integer data.
-    A = _single_rank_matrix(4, 4, 4)
+    A = with_sets(_single_rank_matrix(4, 4, 4))
     x = np.zeros(A.n_cols_extended)
     x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
     y_ref, _ = seq_spmv(A.values, oracle_cols(A), x)
@@ -84,7 +85,7 @@ def test_criterion_1_oracle_equivalence():
 
     # Multicolor GS sweep against sequential GS on the permuted matrix.
     c = color(A, "greedy")
-    Ap = permute_system(A, c)
+    Ap = with_sets(permute_system(A, c), c)
     r = rng.integers(-9, 10, size=Ap.n_rows).astype(np.float64)
     z = np.zeros(Ap.n_cols_extended)
     forward_gs_sweep(Ap, r, z, c, z_is_zero=True, tally=Tally())
@@ -100,7 +101,7 @@ def test_criterion_1_oracle_equivalence():
     xf = np.zeros(Af.n_cols_extended)
     xf[: Af.n_rows] = rng.integers(-9, 10, size=Af.n_rows).astype(np.float64)
     bf = rng.integers(-9, 10, size=Af.n_rows).astype(np.float64)
-    fused = fused_residual_restrict(Af, bf, xf, f2c, tally=Tally())
+    fused = fused_residual_restrict(Af, bf, xf, tally=Tally())
     unfused = restrict_inject(bf - spmv(Af, xf, tally=Tally()), f2c)
     fused_ok = np.array_equal(fused, unfused)
 
@@ -113,6 +114,7 @@ def test_criterion_1_oracle_equivalence():
         Al = permute_system(Al, cl)
         plan = build_halo_plan(gp.domain(rank), Al, world=world, rank=rank,
                                iperm=cl.iperm)
+        with_sets(Al, cl)
         lrng = np.random.default_rng(50 + rank)
         xv = np.zeros(Al.n_cols_extended)
         xv[: Al.n_rows] = lrng.integers(-9, 10,
@@ -364,7 +366,7 @@ def test_criterion_9_multirank_consistency():
     t0 = time.perf_counter()
 
     # 8-rank SpMV output equals the 1-rank output bitwise on global 32^3.
-    A1 = _single_rank_matrix(32, 32, 32)
+    A1 = with_sets(_single_rank_matrix(32, 32, 32))
     n_global = A1.n_rows
     rng = np.random.default_rng(9)
     x_global = rng.integers(-9, 10, size=n_global).astype(np.float64)
@@ -380,6 +382,7 @@ def test_criterion_9_multirank_consistency():
         A = permute_system(A, c)
         plan = build_halo_plan(gp.domain(rank), A, world=world, rank=rank,
                                iperm=c.iperm)
+        with_sets(A, c)
         gids = A.col_global[np.arange(A.n_rows), A.diag_pos]
         x = np.zeros(A.n_cols_extended)
         x[: A.n_rows] = x_global[gids]

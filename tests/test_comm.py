@@ -14,7 +14,7 @@ from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
 from mxpbench.problem import generate_matrix
 
-from _oracles import local_to_global, oracle_cols, seq_spmv
+from _oracles import local_to_global, oracle_cols, seq_spmv, with_sets
 
 
 def test_all_reduce_sum_fixed_order():
@@ -230,17 +230,20 @@ def test_exchange_rejects_a_short_halo_message():
         RankWorld(2).run(worker)
 
 
-def test_halo_plan_drops_arrays_derived_before_it():
-    # Halo packs built while off-rank columns were still UNRESOLVED must not
-    # outlive the plan that rewrites them; stale, every row would count as
-    # interior and its off-rank entries would read x[UNRESOLVED].
+def test_kernel_sets_need_the_halo_plan_first():
+    # Before the plan, off-rank columns are UNRESOLVED: a halo split would
+    # count every row as interior, and its off-rank entries would read
+    # x[UNRESOLVED].  Building the sets then raises; after it they are right.
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
     def worker(world, rank):
         dom = gp.domain(rank)
         A = generate_matrix(dom)
-        A.halo_packs()
+        with pytest.raises(ValueError, match="unresolved halo column"):
+            with_sets(A)
+        assert A.sets is None
         plan = build_halo_plan(dom, A, world, rank)
+        with_sets(A)
         rng = np.random.default_rng(40 + rank)
         x = np.zeros(A.n_cols_extended)
         x[:A.n_rows] = rng.standard_normal(A.n_rows)

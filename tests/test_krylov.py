@@ -23,12 +23,12 @@ from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import generate_matrix, generate_rhs, to_low_precision
 from mxpbench.smoother import SmootherWorkspace
 
-from _oracles import oracle_cols, seq_spmv
+from _oracles import oracle_cols, seq_spmv, with_sets
 
 
 def _single_rank_system(nx, ny, nz):
     gp = GlobalProblem.from_local(nx, ny, nz, 1)
-    A = generate_matrix(gp.domain(0))
+    A = with_sets(generate_matrix(gp.domain(0)))
     vecs = generate_rhs(A)
     return A, vecs
 
@@ -52,6 +52,7 @@ def test_spmv_overlapped_matches_blocking_on_eight_ranks():
         A = permute_system(A, c)
         plan = build_halo_plan(gp.domain(rank), A, world=world, rank=rank,
                                iperm=c.iperm)
+        with_sets(A, c)
         rng = np.random.default_rng(100 + rank)
         x = np.zeros(A.n_cols_extended)
         x[: A.n_rows] = rng.integers(-9, 10, size=A.n_rows).astype(np.float64)
@@ -140,7 +141,7 @@ def test_back_substitute_matches_dense_solve():
 def _solve(nx, ny, nz, mode, m=30, tol=1e-9, max_iters=300,
            precond=lambda r: r, b=None, x0=None):
     A, vecs = _single_rank_system(nx, ny, nz)
-    A_lo = to_low_precision(A)
+    A_lo = with_sets(to_low_precision(A))
     if b is None:
         b = vecs.b
     return A, gmres_solve(A, A_lo, precond, b, x0=x0, mode=mode, tol=tol,
@@ -151,8 +152,8 @@ def test_restarted_solve_converges():
     # A short restart length forces several cycles on a random rhs.
     A, vecs = _single_rank_system(4, 4, 4)
     b = np.random.default_rng(42).standard_normal(A.n_rows)
-    res = gmres_solve(A, to_low_precision(A), lambda r: r, b, mode="double",
-                      tol=1e-10, m=5, tally=Tally())
+    res = gmres_solve(A, with_sets(to_low_precision(A)), lambda r: r, b,
+                      mode="double", tol=1e-10, m=5, tally=Tally())
     assert res.converged
     assert res.restarts == 4
     assert res.iterations == 18
@@ -161,8 +162,8 @@ def test_restarted_solve_converges():
 
 def test_solution_vector_matches_all_ones():
     gp = GlobalProblem.from_local(4, 4, 4, 1)
-    A = generate_matrix(gp.domain(0))
-    A_lo = to_low_precision(A)
+    A = with_sets(generate_matrix(gp.domain(0)))
+    A_lo = with_sets(to_low_precision(A))
     vecs = generate_rhs(A)
     x0 = np.zeros(A.n_cols_extended)
     res = gmres_solve(A, A_lo, lambda r: r, vecs.b, x0=x0, mode="double",
@@ -175,8 +176,8 @@ def test_full_subspace_is_exact_in_at_most_n_iterations():
     # With m == n the Krylov space is exhausted in a single cycle.
     A, _ = _single_rank_system(2, 2, 2)
     b = np.random.default_rng(7).standard_normal(A.n_rows)
-    res = gmres_solve(A, to_low_precision(A), lambda r: r, b, mode="double",
-                      tol=1e-12, m=8, tally=Tally())
+    res = gmres_solve(A, with_sets(to_low_precision(A)), lambda r: r, b,
+                      mode="double", tol=1e-12, m=8, tally=Tally())
     assert res.converged
     assert res.restarts == 1
     assert res.iterations <= 8
@@ -195,8 +196,8 @@ def test_zero_rhs_returns_immediately():
 
 def test_exact_initial_guess_returns_immediately():
     gp = GlobalProblem.from_local(2, 2, 2, 1)
-    A = generate_matrix(gp.domain(0))
-    A_lo = to_low_precision(A)
+    A = with_sets(generate_matrix(gp.domain(0)))
+    A_lo = with_sets(to_low_precision(A))
     vecs = generate_rhs(A)
     x0 = np.zeros(A.n_cols_extended)
     x0[: A.n_rows] = 1.0
@@ -210,8 +211,8 @@ def test_exact_initial_guess_returns_immediately():
 def test_unknown_mode_rejected():
     A, _ = _single_rank_system(2, 2, 2)
     with pytest.raises(ValueError, match="unknown mode"):
-        gmres_solve(A, to_low_precision(A), lambda r: r, np.ones(8),
-                    mode="mxp", tally=Tally())
+        gmres_solve(A, with_sets(to_low_precision(A)), lambda r: r,
+                    np.ones(8), mode="mxp", tally=Tally())
 
 
 def _preconditioned_solve(mode, tol=1e-9, m=30, max_iters=300):
@@ -281,8 +282,8 @@ def test_solver_tally_covers_expected_motifs():
 def test_unpreconditioned_tally_has_no_multigrid_motifs():
     A, vecs = _single_rank_system(4, 4, 4)
     tally = Tally()
-    res = gmres_solve(A, to_low_precision(A), lambda r: r, vecs.b, tol=1e-9,
-                      tally=tally)
+    res = gmres_solve(A, with_sets(to_low_precision(A)), lambda r: r, vecs.b,
+                      tol=1e-9, tally=tally)
     assert res.converged
     assert tally.flops["GS"] == 0
     assert tally.flops["Restriction"] == 0

@@ -12,7 +12,7 @@ from mxpbench.multigrid import (
     fused_residual_restrict,
     prolong_add,
 )
-from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
+from mxpbench.smoother import SmootherWorkspace
 
 from _oracles import restrict_inject
 
@@ -91,59 +91,78 @@ def test_prolong_restrict_roundtrip():
     assert np.array_equal(restrict_inject(x_f, coarse.f2c), 2.0 * x_c)
 
 
-def _cached_arrays(obj):
+def _held_arrays(obj):
+    """Every array in a tree of tuples, such as a matrix's ``sets``."""
     if isinstance(obj, np.ndarray):
         return [obj]
-    if isinstance(obj, (tuple, list)):
-        return [a for o in obj for a in _cached_arrays(o)]
+    if isinstance(obj, tuple):
+        return [a for o in obj for a in _held_arrays(o)]
     return []
 
 
-def test_both_precisions_share_one_stored_operator_per_level():
-    h = _hierarchy(16, 16, 16, 4)
-    for dtype in (np.float64, np.float32):
-        h.apply(np.ones(h.levels[0].A_hi.n_rows, dtype=dtype), Tally())
-        for lv in h.levels:
-            A = lv.A_lo if dtype == np.float32 else lv.A_hi
-            z = np.zeros(A.n_cols_extended, dtype=dtype)
-            forward_gs_sweep(A, np.ones(A.n_rows, dtype=dtype), z,
-                             lv.coloring, z_is_zero=True, tally=Tally())
-            spmv(A, z, tally=Tally())
-    for lv in h.levels:
-        assert lv.A_lo.col_idx is lv.A_hi.col_idx
-        for A in (lv.A_hi, lv.A_lo):
-            cached = _cached_arrays(list(A._caches.values()))
-            assert any(a.dtype.kind == "f" for a in cached)   # the diagonals
-            # no full-size copy of the values beside A.values, in any shape
-            assert not any(a.dtype.kind == "f" and a.size >= A.values.size
-                           for a in cached)
-            # and no n x 27 index array beside A.col_idx
-            assert not any(a.dtype.kind in "iu" and a.shape == A.col_idx.shape
-                           for a in cached)
+def _index_packs(sets):
+    """The column and row arrays of every pack in ``sets``."""
+    packs = [dot for dot, _ in sets.halo]
+    if sets.restrict is not None:
+        packs.append(sets.restrict[1])
+    return [a for p in packs for a in p.arrays[1:]]
 
 
-def test_kernel_arrays_are_column_major_in_both_precisions():
-    # Row-major storage gives the same bits, but row_dot over all rows of
-    # a 32^3 level then runs 4-6x slower.
+def _two_rank_hierarchy(worker):
     gp = GlobalProblem.from_local(8, 8, 8, 2)
+    return RankWorld(2).run(
+        lambda world, rank: worker(build_hierarchy(gp.domain(rank), 3,
+                                                   world, rank)))
 
-    def worker(world, rank):
-        h = build_hierarchy(gp.domain(rank), 3, world, rank)
-        n = h.levels[0].A_hi.n_rows
-        for dtype in (np.float64, np.float32):
-            # packs the halo and f2c rows
-            h.apply(np.ones(n, dtype=dtype), Tally())
-        arrays = []
-        for fine, coarse in zip(h.levels, h.levels[1:] + [None]):
-            for A in (fine.A_hi, fine.A_lo):
-                arrays += [A.values, A.col_idx]
-                arrays += [a for _, vals, cols in A.halo_packs()
-                           for a in (vals, cols)]
-                if coarse is not None:
-                    arrays += A.packed("f2c", coarse.f2c)
-        return [a.shape for a in arrays if not a.flags.f_contiguous]
 
-    assert RankWorld(2).run(worker) == [[], []]
+def test_set_up_attaches_column_major_sets_sharing_index_packs():
+    # Row-major packs give the same bits, but row_dot over all rows of a
+    # 32^3 level then runs 4-6x slower.
+    def worker(h):
+        for lv, coarse in zip(h.levels, h.levels[1:] + [None]):
+            hi, lo = lv.A_hi.sets, lv.A_lo.sets
+            assert hi.all.dtype == np.float64 and lo.all.dtype == np.float32
+            assert hi.halo is not None and lo.halo is not None
+            assert (hi.restrict is None) == (coarse is None)
+            # one index pack per level, read by both precisions
+            assert all(a is b for a, b in zip(_index_packs(hi),
+                                              _index_packs(lo), strict=True))
+            for A in (lv.A_hi, lv.A_lo):
+                held = _held_arrays(A.sets)
+                assert all(a.flags.f_contiguous for a in held if a.ndim == 2)
+                beside = [a for a in held
+                          if a is not A.values and a is not A.col_idx]
+                # no full-size copy of the values, in any shape
+                assert not any(a.dtype.kind == "f" and a.size >= A.values.size
+                               for a in beside)
+                # and no n x 27 index array
+                assert not any(a.dtype.kind in "iu"
+                               and a.shape == A.col_idx.shape for a in beside)
+        return True
+
+    assert _two_rank_hierarchy(worker) == [True, True]
+
+
+def test_solves_leave_every_set_as_set_up_built_it():
+    def worker(h):
+        def held():
+            return [(A.sets, _held_arrays(A.sets)) for lv in h.levels
+                    for A in (lv.A_hi, lv.A_lo)]
+
+        before = held()
+        lv = h.levels[0]
+        b = lv.A_hi.values.sum(axis=1)
+        for mode in ("mixed", "double"):
+            res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: h.apply(r, Tally()),
+                              b, mode=mode, plan=lv.plan, world=h.world,
+                              rank=h.rank, tally=Tally())
+            assert res.converged
+        after = held()
+        return all(s0 is s1 and len(a0) == len(a1)
+                   and all(x is y for x, y in zip(a0, a1))
+                   for (s0, a0), (s1, a1) in zip(before, after, strict=True))
+
+    assert _two_rank_hierarchy(worker) == [True, True]
 
 
 @pytest.mark.parametrize("which", ["A_hi", "A_lo"])   # float64, float32
@@ -156,7 +175,7 @@ def test_fused_residual_restrict_matches_unfused(which):
     x[: A.n_rows] = rng.standard_normal(A.n_rows)
     b = rng.standard_normal(A.n_rows).astype(A.dtype)
 
-    r_c = fused_residual_restrict(A, b, x, coarse.f2c, tally=Tally())
+    r_c = fused_residual_restrict(A, b, x, tally=Tally())
     y = spmv(A, x, tally=Tally())
     r_ref = restrict_inject(b - y, coarse.f2c)
     # The V-cycle recurses on the returned array, so it keeps b's precision.

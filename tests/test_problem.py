@@ -7,10 +7,11 @@ from mxpbench.comm import RankWorld
 from mxpbench.geometry import GlobalProblem
 from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import (UNRESOLVED, generate_matrix, generate_rhs,
-                              row_dot, to_low_precision, write_matrix_market)
+                              to_low_precision, write_matrix_market)
 
 from _oracles import (dense_stencil_3d, ell_to_dense, owns_global,
-                      padding_mask, seq_spmv, structure_signature)
+                      padding_mask, row_dot, seq_spmv, structure_signature,
+                      with_sets)
 
 
 def _single_rank(nx, ny, nz):
@@ -84,7 +85,7 @@ def test_two_rank_split_marks_remote_columns():
 
 
 def test_low_precision_copy_shares_structure():
-    A = _single_rank(4, 4, 4)
+    A = with_sets(_single_rank(4, 4, 4))
     L = to_low_precision(A)
     assert L.values.dtype == np.float32
     assert np.array_equal(L.values.astype(np.float64), A.values)  # exact
@@ -92,7 +93,7 @@ def test_low_precision_copy_shares_structure():
     assert L.col_global is A.col_global
     assert L.row_nnz is A.row_nnz
     assert L.diag_pos is A.diag_pos
-    assert L._caches is A._caches
+    assert L.sets is None       # float64 row sets would refuse its vectors
     assert structure_signature(L) == structure_signature(A)
 
 
@@ -125,18 +126,35 @@ def test_every_level_indexes_in_range_and_pads_with_its_own_row():
     assert RankWorld(2).run(worker) == [3, 3]
 
 
-def test_packed_rows_are_shared_and_fixed_per_key():
-    A = _single_rank(4, 4, 4)
-    L = to_low_precision(A)
-    rows = np.arange(0, A.n_rows, 3)
-    vals, cols = A.packed("every third", rows)
-    assert np.array_equal(vals, A.values[rows])
-    assert np.array_equal(cols, A.col_idx[rows])
-    vals_lo, cols_lo = L.packed("every third", rows)
-    assert cols_lo is cols
-    assert vals_lo.dtype == np.float32 and np.array_equal(vals_lo, vals)
-    with pytest.raises(ValueError, match="another array"):
-        A.packed("every third", rows.copy())
+def test_kernel_sets_pack_the_rows_they_name():
+    gp = GlobalProblem.from_local(4, 4, 4, 2)
+
+    def worker(world, rank):
+        h = build_hierarchy(gp.domain(rank), 2, world, rank)
+        fine, coarse = h.levels
+        color0 = fine.coloring.color_offsets[1]
+        for A in (fine.A_hi, fine.A_lo):
+            n = A.n_rows
+            halo_rows = []
+            for (dot, relax0), with_halo in zip(A.sets.halo, (False, True),
+                                                strict=True):
+                vals, cols, rows = dot.arrays
+                assert np.array_equal(vals, A.values[rows])
+                assert np.array_equal(cols, A.col_idx[rows])
+                assert np.all((cols.max(axis=1) >= n) == with_halo)
+                assert relax0.args[0] == np.sum(rows < color0)
+                halo_rows.append(rows)
+            assert np.array_equal(np.sort(np.concatenate(halo_rows)),
+                                  np.arange(n))
+            f2c, dot, nnz = A.sets.restrict
+            vals, cols, _ = dot.arrays
+            assert f2c is coarse.f2c
+            assert np.array_equal(vals, A.values[f2c])
+            assert np.array_equal(cols, A.col_idx[f2c])
+            assert nnz == A.row_nnz[f2c].sum()
+        return True
+
+    assert RankWorld(2).run(worker) == [True, True]
 
 
 def test_matrix_market_output(tmp_path):

@@ -12,7 +12,7 @@ from mxpbench.problem import (SingularDiagonal, generate_matrix, generate_rhs,
                               to_low_precision)
 from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
 
-from _oracles import ell_from_dense, oracle_cols, seq_gs_sweep
+from _oracles import ell_from_dense, oracle_cols, seq_gs_sweep, with_sets
 
 
 def _permuted(nx, ny, nz, strategy="greedy"):
@@ -21,7 +21,7 @@ def _permuted(nx, ny, nz, strategy="greedy"):
     c = color(A, strategy)
     Ap = permute_system(A, c)
     build_halo_plan(gp.domain(0), Ap)
-    return Ap, c
+    return with_sets(Ap, c), c
 
 
 def test_sweep_matches_sequential_oracle_bitwise():
@@ -42,7 +42,7 @@ def test_two_sweeps_match_oracle_bitwise(dtype, strategy):
     # the sweep zeroes each block's rows of z before its row products, the
     # oracle skips the diagonal.
     Ap, c = _permuted(4, 4, 4, strategy)
-    A = Ap if dtype == np.float64 else to_low_precision(Ap)
+    A = Ap if dtype == np.float64 else with_sets(to_low_precision(Ap), c)
     rng = np.random.default_rng(1)
     r = rng.integers(-10, 11, size=A.n_rows).astype(dtype)
     z = rng.standard_normal(A.n_cols_extended).astype(dtype)
@@ -61,6 +61,7 @@ def test_single_point_system_solved_exactly():
     c = color(A, "greedy")
     Ap = permute_system(A, c)
     build_halo_plan(gp.domain(0), Ap)
+    with_sets(Ap, c)
     z = np.zeros(1)
     forward_gs_sweep(Ap, np.array([13.0]), z, c, z_is_zero=True,
                      tally=Tally())
@@ -92,7 +93,7 @@ def test_three_sweep_residual_regression_on_8cubed():
 
 def test_low_high_precision_duality():
     Ap, c = _permuted(8, 8, 8)
-    Al = to_low_precision(Ap)
+    Al = with_sets(to_low_precision(Ap), c)
     rng = np.random.default_rng(2)
     r = rng.integers(-10, 11, size=Ap.n_rows).astype(float)
     z_hi = np.zeros(Ap.n_cols_extended)
@@ -116,6 +117,7 @@ def test_overlapped_matches_blocking_on_8_ranks():
         c = color(A, "greedy")
         Ap = permute_system(A, c)
         plan = build_halo_plan(dom, Ap, world, rank, iperm=c.iperm)
+        with_sets(Ap, c)
         z = np.zeros(Ap.n_cols_extended)
         z[:64] = zs[rank][c.perm]
         if overlapped:
@@ -133,12 +135,12 @@ def test_overlapped_matches_blocking_on_8_ranks():
 
 
 def test_zero_diagonal_rejected():
+    # Set-up refuses it, before any sweep could divide by it.
     A = ell_from_dense(np.array([[1.0, 1.0], [1.0, 2.0]]))
     A.values[0, A.diag_pos[0]] = 0.0        # structurally present, zero value
     c = color(A, "greedy")
-    z = np.zeros(2)
     with pytest.raises(SingularDiagonal):
-        forward_gs_sweep(A, np.ones(2), z, c, z_is_zero=True, tally=Tally())
+        with_sets(A, c)
 
 
 def test_sweep_counts_flops_in_gs_motif():
