@@ -50,7 +50,7 @@ class RankWorld:
         if nranks < 1:
             raise ValueError(f"need at least one rank, got {nranks}")
         self.nranks = nranks
-        self._boxes = {(s, d): queue.Queue()
+        self._boxes = {(s, d): queue.SimpleQueue()
                        for s in range(nranks) for d in range(nranks) if s != d}
         self._send_seq = {pair: 0 for pair in self._boxes}
         self._recv_seq = {pair: 0 for pair in self._boxes}

@@ -32,7 +32,6 @@ the index arrays do not shrink.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -113,6 +112,27 @@ def gflops(flops, seconds):
     return flops / seconds / 1e9
 
 
+# (kernel, dtype, motif, *sizes.items()) -> (bucket, flops, bytes) of every
+# call shape ``Tally.add`` has seen; shared by all tallies and rank threads.
+_SHAPE_COUNTS = {}
+
+
+class _Timer:
+    """``Tally.timed``'s context manager; charges its motif even on a raise."""
+
+    __slots__ = ("seconds", "motif", "t0")
+
+    def __init__(self, seconds, motif):
+        self.seconds = seconds
+        self.motif = motif
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.seconds[self.motif] += time.perf_counter() - self.t0
+
+
 class Tally:
     """Per-rank flop/byte/second accumulators, bucketed by motif."""
 
@@ -122,18 +142,24 @@ class Tally:
         self.seconds = {m: 0.0 for m in MOTIFS}
 
     def add(self, kernel, dtype, motif=None, **sizes):
-        """Account one kernel call; ``motif`` overrides the default bucket."""
-        bucket = motif or kernel_motif(kernel)
-        self.flops[bucket] += count_flops(kernel, **sizes)
-        self.bytes[bucket] += count_bytes(kernel, np.dtype(dtype).itemsize, **sizes)
+        """Account one kernel call; ``motif`` overrides the default bucket.
 
-    @contextmanager
+        The counts of a call shape are computed on its first call only.
+        """
+        key = (kernel, dtype, motif, *sizes.items())
+        counts = _SHAPE_COUNTS.get(key)
+        if counts is None:
+            flops = count_flops(kernel, **sizes)   # raises on an unknown kernel
+            counts = _SHAPE_COUNTS[key] = (
+                motif or kernel_motif(kernel), flops,
+                count_bytes(kernel, np.dtype(dtype).itemsize, **sizes))
+        bucket, flops, nbytes = counts
+        self.flops[bucket] += flops
+        self.bytes[bucket] += nbytes
+
     def timed(self, motif):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[motif] += time.perf_counter() - t0
+        """``with tally.timed(motif):`` charges the block's seconds to motif."""
+        return _Timer(self.seconds, motif)
 
     def total_flops(self):
         return sum(self.flops.values())

@@ -144,7 +144,7 @@ def mg_vcycle(h, level, r, tally):
 
     count = sw.nu_c if last else sw.nu1
     for s in range(count):
-        forward_gs_sweep(A, r, z, lv.coloring, lv.plan, h.world, h.rank,
+        forward_gs_sweep(A, r, z, lv.plan, h.world, h.rank,
                          z_is_zero=(s == 0), tally=tally)
     if last:
         return z[:n]
@@ -154,7 +154,6 @@ def mg_vcycle(h, level, r, tally):
     zc = mg_vcycle(h, level + 1, rc, tally)
     prolong_add(z, zc, h.levels[level + 1].f2c, tally)
     for _ in range(sw.nu2):
-        forward_gs_sweep(A, r, z, lv.coloring, lv.plan, h.world, h.rank,
-                         tally=tally)
+        forward_gs_sweep(A, r, z, lv.plan, h.world, h.rank, tally=tally)
     return z[:n]
 

@@ -40,9 +40,12 @@ class SmootherWorkspace:
             raise ValueError("sweep counts must all be >= 1")
 
 
-def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
+def forward_gs_sweep(A, r, z, plan=None, world=None, rank=0,
                      z_is_zero=False, *, tally):
     """One forward sweep: z_i <- (r_i - sum_{j!=i} a_ij z_j) / a_ii, color by color.
+
+    The color blocks are those of ``A.sets.relax``, built at set-up from the
+    level's own coloring.
 
     ``z`` must carry the halo tail.  When ``z_is_zero`` the caller asserts the
     iterate (tail included) is all zero, so the halo exchange is skipped.
@@ -61,5 +64,5 @@ def forward_gs_sweep(A, r, z, coloring, plan=None, world=None, rank=0,
                                 lambda: kernels.relax(interior, r, z))
             kernels.relax(boundary, r, z)
             first = 1
-        kernels.relax(A.sets.relax, r, z, first, coloring.num_colors)
+        kernels.relax(A.sets.relax, r, z, first, A.sets.relax.n_blocks)
     tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)

@@ -88,7 +88,7 @@ def test_criterion_1_oracle_equivalence():
     Ap = with_sets(permute_system(A, c), c)
     r = rng.integers(-9, 10, size=Ap.n_rows).astype(np.float64)
     z = np.zeros(Ap.n_cols_extended)
-    forward_gs_sweep(Ap, r, z, c, z_is_zero=True, tally=Tally())
+    forward_gs_sweep(Ap, r, z, z_is_zero=True, tally=Tally())
     z_ref = np.zeros(Ap.n_cols_extended)
     seq_gs_sweep(Ap.values, oracle_cols(Ap), Ap.diag_pos, r, z_ref)
     gs_ok = np.array_equal(z, z_ref)
@@ -132,10 +132,10 @@ def test_criterion_1_oracle_equivalence():
         z_block = np.zeros(Al.n_cols_extended)
         z_over[: Al.n_rows] = xv[: Al.n_rows]
         z_block[: Al.n_rows] = xv[: Al.n_rows]
-        forward_gs_sweep(Al, rv, z_over, cl, plan=plan, world=world,
-                         rank=rank, tally=Tally())
+        forward_gs_sweep(Al, rv, z_over, plan=plan, world=world, rank=rank,
+                         tally=Tally())
         exchange(z_block, plan, world, rank)
-        forward_gs_sweep(Al, rv, z_block, cl, tally=Tally())
+        forward_gs_sweep(Al, rv, z_block, tally=Tally())
         return spmv_same and np.array_equal(z_over, z_block)
 
     overlap_ok = all(RankWorld(8).run(worker))

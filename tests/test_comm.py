@@ -77,6 +77,32 @@ def test_send_recv_fifo_order():
     assert outs[1] == [0, 10, 20, 30, 40]
 
 
+def test_mailboxes_keep_fifo_and_rank_order_under_load():
+    # Alternate halo messages (two in flight per pair) with collectives; the
+    # tuple "sum" concatenates, so it shows the fold order, which two-rank
+    # float addition cannot.
+    rounds = 2000
+    switch = sys.getswitchinterval()
+
+    def worker(world, rank):
+        peer = 1 - rank
+        bad = 0
+        for i in range(rounds):
+            world.send(rank, peer, (peer, 2 * i))
+            world.send(rank, peer, (peer, 2 * i + 1))
+            bad += world.recv(rank, peer) != (rank, 2 * i)
+            bad += world.recv(rank, peer) != (rank, 2 * i + 1)
+            bad += world.all_reduce_sum(rank, (rank, i)) != (0, i, 1, i)
+        return bad
+
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = RankWorld(2).run(worker)
+    finally:
+        sys.setswitchinterval(switch)
+    assert outs == [0, 0]
+
+
 def test_gather_collects_in_rank_order():
     def worker(world, rank):
         return world.gather(rank, rank * rank)

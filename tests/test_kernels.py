@@ -92,7 +92,7 @@ def test_kernels_match_oracles_on_every_level_of_16cubed(hierarchy16, level,
     z = rng.standard_normal(A.n_cols_extended).astype(dtype)
     z_ref = z.copy()
     for _ in range(2):
-        forward_gs_sweep(A, r, z, lv.coloring, tally=Tally())
+        forward_gs_sweep(A, r, z, tally=Tally())
         seq_gs_sweep(A.values, cols, A.diag_pos, r, z_ref)
     assert z.tobytes() == z_ref.tobytes()
 
@@ -112,8 +112,7 @@ def test_kernels_refuse_vectors_they_would_overrun(hierarchy16):
     A = lv.A_hi
     r = np.zeros(A.n_rows)
     with pytest.raises(ValueError, match="at least 64 entries"):
-        forward_gs_sweep(A, r, np.zeros(A.n_rows - 1), lv.coloring,
-                         tally=Tally())
+        forward_gs_sweep(A, r, np.zeros(A.n_rows - 1), tally=Tally())
     with pytest.raises(ValueError, match="must be float64"):
         spmv(A, np.zeros(A.n_rows, dtype=np.float32), tally=Tally())
     with pytest.raises(TypeError, match="not C contiguous"):

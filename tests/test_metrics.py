@@ -1,9 +1,13 @@
 """Tests for operation accounting, the penalty rule, and the report format."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from mxpbench.geometry import GlobalProblem
+from mxpbench.krylov import gmres_solve
 from mxpbench.metrics import (
     MOTIFS,
     Tally,
@@ -15,7 +19,7 @@ from mxpbench.metrics import (
     sum_motif_dicts,
 )
 from mxpbench.multigrid import build_hierarchy
-from mxpbench.problem import generate_matrix
+from mxpbench.problem import generate_matrix, generate_rhs
 from mxpbench.smoother import SmootherWorkspace
 
 from _oracles import (
@@ -174,6 +178,11 @@ def test_tally_motif_override():
     t.add("norm", np.float64, motif="Ortho", n=10)
     assert t.flops["Ortho"] == 20
     assert t.flops["Vector ops"] == 0
+    # The same call without the override, and the override again, keep
+    # their own buckets.
+    t.add("norm", np.float64, n=10)
+    t.add("norm", np.float64, motif="Ortho", n=10)
+    assert (t.flops["Ortho"], t.flops["Vector ops"]) == (40, 20)
 
 
 def test_tally_timed():
@@ -181,6 +190,72 @@ def test_tally_timed():
     with t.timed("SpMV"):
         sum(range(1000))
     assert t.seconds["SpMV"] > 0.0
+
+
+def test_tally_timed_charges_a_block_that_raises():
+    t = Tally()
+    with pytest.raises(RuntimeError):
+        with t.timed("GS"):
+            sum(range(1000))
+            raise RuntimeError("kernel failed")
+    assert t.seconds["GS"] > 0.0
+    assert sum(v for m, v in t.seconds.items() if m != "GS") == 0.0
+
+
+def test_tally_bytes_do_not_depend_on_how_dtype_is_spelled():
+    by_type, by_dtype = Tally(), Tally()
+    by_type.add("gs_sweep", np.float32, nnz=777, n=31)
+    by_dtype.add("gs_sweep", np.dtype("float32"), nnz=777, n=31)
+    assert by_type.bytes == by_dtype.bytes
+    assert by_type.bytes["GS"] == count_bytes("gs_sweep", 4, nnz=777, n=31)
+
+
+def test_tally_counts_stay_exact_when_threads_share_call_shapes():
+    # Rank threads share the call-shape counts; more threads than cores, and
+    # a short switch interval, interleave their first calls of each shape.
+    shapes = [("cgs2", {"n": 1000 + i, "k": k}) for i in range(20)
+              for k in range(1, 6)]
+    expected = sum(count_flops(kernel, **sizes) for kernel, sizes in shapes)
+    tallies = [Tally() for _ in range(4)]
+
+    def work(t):
+        for kernel, sizes in shapes * 10:
+            t.add(kernel, np.float32, **sizes)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in tallies]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert [t.flops["Ortho"] for t in tallies] == [10 * expected] * 4
+
+
+def test_desk_solve_accounting_is_frozen():
+    # Per-motif counts of one 16^3 solve with the gmres_solve defaults; they
+    # change only with the flop/byte model or the algorithm.
+    expected = {
+        "mixed": ([7849152, 3698768, 5378048, 500940, 10512, 61440],
+                  [33416640, 16684000, 12091392, 3026664, 126144, 753664]),
+        "double": ([7413088, 3504096, 4915200, 473110, 9928, 40960],
+                   [48294144, 22204224, 22085632, 4790668, 238272, 458752]),
+    }
+    gp = GlobalProblem.from_local(16, 16, 16, 1)
+    hier = build_hierarchy(gp.domain(0), 4, sweeps=SmootherWorkspace())
+    lv = hier.levels[0]
+    b = generate_rhs(lv.A_hi).b
+    for mode, (flops, nbytes) in expected.items():
+        t = Tally()
+        res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r, t), b,
+                          mode=mode, tally=t)
+        assert res.converged
+        assert [t.flops[m] for m in MOTIFS] == flops, mode
+        assert [t.bytes[m] for m in MOTIFS] == nbytes, mode
 
 
 def test_sum_motif_dicts():

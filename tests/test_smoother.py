@@ -25,11 +25,11 @@ def _permuted(nx, ny, nz, strategy="greedy"):
 
 
 def test_sweep_matches_sequential_oracle_bitwise():
-    Ap, c = _permuted(4, 4, 4)
+    Ap, _ = _permuted(4, 4, 4)
     rng = np.random.default_rng(0)
     r = rng.integers(-10, 11, size=Ap.n_rows).astype(float)
     z = np.zeros(Ap.n_cols_extended)
-    forward_gs_sweep(Ap, r, z, c, z_is_zero=True, tally=Tally())
+    forward_gs_sweep(Ap, r, z, z_is_zero=True, tally=Tally())
     z_ref = np.zeros(Ap.n_rows)
     seq_gs_sweep(Ap.values, oracle_cols(Ap), Ap.diag_pos, r, z_ref)
     assert np.array_equal(z[:Ap.n_rows], z_ref)
@@ -47,8 +47,8 @@ def test_two_sweeps_match_oracle_bitwise(dtype, strategy):
     r = rng.integers(-10, 11, size=A.n_rows).astype(dtype)
     z = rng.standard_normal(A.n_cols_extended).astype(dtype)
     z_ref = z[:A.n_rows].copy()
-    forward_gs_sweep(A, r, z, c, tally=Tally())
-    forward_gs_sweep(A, r, z, c, tally=Tally())
+    forward_gs_sweep(A, r, z, tally=Tally())
+    forward_gs_sweep(A, r, z, tally=Tally())
     seq_gs_sweep(A.values, oracle_cols(A), A.diag_pos, r, z_ref)
     seq_gs_sweep(A.values, oracle_cols(A), A.diag_pos, r, z_ref)
     assert z.dtype == dtype
@@ -63,29 +63,28 @@ def test_single_point_system_solved_exactly():
     build_halo_plan(gp.domain(0), Ap)
     with_sets(Ap, c)
     z = np.zeros(1)
-    forward_gs_sweep(Ap, np.array([13.0]), z, c, z_is_zero=True,
-                     tally=Tally())
+    forward_gs_sweep(Ap, np.array([13.0]), z, z_is_zero=True, tally=Tally())
     assert z[0] == 13.0 / 26.0
 
 
 def test_sweeps_reduce_residual():
-    Ap, c = _permuted(8, 8, 8)
+    Ap, _ = _permuted(8, 8, 8)
     b = generate_rhs(Ap).b
     z = np.zeros(Ap.n_cols_extended)
     norms = [np.linalg.norm(b)]
     for sweep in range(4):
-        forward_gs_sweep(Ap, b, z, c, z_is_zero=(sweep == 0), tally=Tally())
+        forward_gs_sweep(Ap, b, z, z_is_zero=(sweep == 0), tally=Tally())
         norms.append(np.linalg.norm(b - spmv(Ap, z, tally=Tally())))
     assert all(n1 < n0 for n0, n1 in zip(norms, norms[1:]))
 
 
 def test_three_sweep_residual_regression_on_8cubed():
     # Frozen from the first measured run of this configuration.
-    Ap, c = _permuted(8, 8, 8)
+    Ap, _ = _permuted(8, 8, 8)
     b = generate_rhs(Ap).b
     z = np.zeros(Ap.n_cols_extended)
     for sweep in range(3):
-        forward_gs_sweep(Ap, b, z, c, z_is_zero=(sweep == 0), tally=Tally())
+        forward_gs_sweep(Ap, b, z, z_is_zero=(sweep == 0), tally=Tally())
     relres = (np.linalg.norm(b - spmv(Ap, z, tally=Tally()))
               / np.linalg.norm(b))
     assert relres == pytest.approx(0.1973824330006174, rel=1e-12)
@@ -98,8 +97,8 @@ def test_low_high_precision_duality():
     r = rng.integers(-10, 11, size=Ap.n_rows).astype(float)
     z_hi = np.zeros(Ap.n_cols_extended)
     z_lo = np.zeros(Al.n_cols_extended, dtype=np.float32)
-    forward_gs_sweep(Ap, r, z_hi, c, z_is_zero=True, tally=Tally())
-    forward_gs_sweep(Al, r.astype(np.float32), z_lo, c, z_is_zero=True,
+    forward_gs_sweep(Ap, r, z_hi, z_is_zero=True, tally=Tally())
+    forward_gs_sweep(Al, r.astype(np.float32), z_lo, z_is_zero=True,
                      tally=Tally())
     diff = np.linalg.norm(z_hi - z_lo.astype(np.float64))
     assert diff / np.linalg.norm(z_hi) <= 1e-5
@@ -121,11 +120,11 @@ def test_overlapped_matches_blocking_on_8_ranks():
         z = np.zeros(Ap.n_cols_extended)
         z[:64] = zs[rank][c.perm]
         if overlapped:
-            forward_gs_sweep(Ap, rs[rank][c.perm], z, c, plan=plan,
-                             world=world, rank=rank, tally=Tally())
+            forward_gs_sweep(Ap, rs[rank][c.perm], z, plan=plan, world=world,
+                             rank=rank, tally=Tally())
         else:   # blocking reference: a fresh halo, then every row
             exchange(z, plan, world, rank)
-            forward_gs_sweep(Ap, rs[rank][c.perm], z, c, tally=Tally())
+            forward_gs_sweep(Ap, rs[rank][c.perm], z, tally=Tally())
         return z
 
     blocking = RankWorld(8).run(worker, False)
@@ -144,11 +143,10 @@ def test_zero_diagonal_rejected():
 
 
 def test_sweep_counts_flops_in_gs_motif():
-    Ap, c = _permuted(4, 4, 4)
+    Ap, _ = _permuted(4, 4, 4)
     tally = Tally()
     z = np.zeros(Ap.n_cols_extended)
-    forward_gs_sweep(Ap, np.ones(Ap.n_rows), z, c, z_is_zero=True,
-                     tally=tally)
+    forward_gs_sweep(Ap, np.ones(Ap.n_rows), z, z_is_zero=True, tally=tally)
     assert tally.flops["GS"] == 2 * Ap.nnz_total
     assert sum(v for k, v in tally.flops.items() if k != "GS") == 0
     assert tally.seconds["GS"] > 0
