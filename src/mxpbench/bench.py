@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .comm import ProtocolError, RankWorld, TopologyError, reduce_sum
+from .comm import ProtocolError, RankWorld, reduce_sum
 from .geometry import CoarseningError, GlobalProblem
 from .krylov import gmres_solve
 from .metrics import MOTIFS, Tally, gflops, penalty_factor, sum_motif_dicts
@@ -67,6 +67,8 @@ class BenchConfig:
     nu_c: int = 1               # coarsest-level sweeps
 
     def validate(self):
+        if self.mg_levels < 1:
+            raise ConfigError("mg_levels must be at least 1")
         q = 2 ** (self.mg_levels - 1)
         for name, dim in (("local_nx", self.local_nx),
                           ("local_ny", self.local_ny),
@@ -77,8 +79,6 @@ class BenchConfig:
                 raise ConfigError(
                     f"{name} = {dim} is not divisible by {q} "
                     f"(needed for {self.mg_levels} grid levels)")
-        if self.mg_levels < 1:
-            raise ConfigError("mg_levels must be at least 1")
         if self.ranks < 1:
             raise ConfigError("ranks must be at least 1")
         if self.restart < 1:
@@ -301,7 +301,7 @@ def dump_matrix(cfg, path):
                                   cfg.ranks)
     whole = GlobalProblem.from_local(gp.nx, gp.ny, gp.nz, 1)
     A = generate_matrix(whole.domain(0))
-    write_matrix_market(path, A, np.arange(A.n_rows), gp.n_global)
+    write_matrix_market(path, A)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -364,7 +364,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 3
-    except (ProtocolError, TopologyError) as exc:
+    except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return 4
 

@@ -28,8 +28,7 @@ def _neighbors(A):
     """n x width locally coupled rows; halo, padding and diagonal slots hold n."""
     n = A.n_rows
     cols = np.ascontiguousarray(A.col_idx)   # row gathers read whole rows
-    return np.where((cols >= 0) & (cols < n) & (cols != np.arange(n)[:, None]),
-                    cols, n)
+    return np.where((cols < n) & (cols != np.arange(n)[:, None]), cols, n)
 
 
 def _jones_plassmann(nb, rng=None):
@@ -106,7 +105,7 @@ def permute_system(A, coloring):
     n = A.n_rows
     perm = coloring.perm
     col_idx = take_rows(A.col_idx, perm)
-    owned = (col_idx >= 0) & (col_idx < n)
+    owned = col_idx < n
     col_idx[owned] = coloring.iperm[col_idx[owned]]
     return EllMatrix(n_rows=n, width=A.width,
                      values=take_rows(A.values, perm),

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import UNRESOLVED
-
 
 class ProtocolError(Exception):
     """Ranks disagreed about the communication schedule (internal bug trap)."""
@@ -33,10 +31,6 @@ class ProtocolError(Exception):
 
 class _Aborted(ProtocolError):
     """A rank stopped waiting because another rank failed first."""
-
-
-class TopologyError(Exception):
-    """A matrix references a column owned by a non-neighboring rank."""
 
 
 _RECV_POLL = 0.05
@@ -159,7 +153,7 @@ class HaloPlan:
 
     Receive slots start at the local row count and are laid out neighbor by
     neighbor in ascending rank id, ascending global index within each
-    neighbor.  Send lists mirror the peer's request order.
+    neighbor.  Send lists follow the peer's slot order.
     """
 
     neighbors: list = field(default_factory=list)
@@ -167,50 +161,25 @@ class HaloPlan:
     recv_slices: dict = field(default_factory=dict)
 
 
-def build_halo_plan(domain, A, world=None, rank=0, iperm=None):
-    """Resolve A's off-rank columns into halo slots and build the exchange plan.
+def build_halo_plan(domain, iperm=None):
+    """The exchange plan of ``domain``, from grid arithmetic alone.
 
-    Each rank tells every geometric neighbor which of its global columns it
-    needs; the mirrored request becomes the send list.  A's UNRESOLVED column
-    entries are rewritten in place to slot indices >= n_rows, and
-    ``A.n_cols_extended`` grows to cover them; A's kernel sets are built
-    after this.  Raises TopologyError if a referenced column is owned by a
-    rank that is not a geometric neighbor.
+    The halo is the box's one-point shell (``domain.shell()``), whose slot
+    order ``generate_matrix`` also uses.  Each neighbor's points form one
+    receive slice; the rows sent to it are the owned points nearest its
+    points, which is the neighbor's own slot order for them.  ``iperm``
+    maps natural local rows to the stored row order.  No message is sent.
     """
-    n = A.n_rows
-    off_mask = A.col_idx == UNRESOLVED
-    off_globals, entry_of = np.unique(A.col_global[off_mask],
-                                      return_inverse=True)
-    owners = domain.owner_rank(off_globals)
-    neighbors = domain.neighbor_ranks()
-    stray = ~np.isin(owners, neighbors)
-    if stray.any():
-        g, owner = off_globals[stray][0], owners[stray][0]
-        raise TopologyError(
-            f"rank {domain.rank}: column {g} owned by rank {owner}, "
-            f"which is not a neighbor")
-
-    if world is None:
-        if len(off_globals):
-            raise TopologyError("off-rank columns present but no world to exchange with")
-        return HaloPlan()
-
-    # Slot s holds off_globals[order[s]]: owners ascend, and the stable sort
-    # keeps global ids ascending within each owner.
-    order = np.argsort(owners, kind="stable")
-    ends = np.searchsorted(owners[order], neighbors, side="right").tolist()
-    plan = HaloPlan(neighbors=neighbors)
-    for nb, lo, hi in zip(neighbors, [0] + ends, ends):
-        world.send(rank, nb, off_globals[order[lo:hi]])
+    n = domain.n_rows
+    _, _, owner, near = domain.shell()
+    if iperm is not None:
+        near = iperm[near]
+    neighbors, counts = np.unique(owner, return_counts=True)
+    ends = np.cumsum(counts).tolist()
+    plan = HaloPlan(neighbors=neighbors.tolist())
+    for nb, lo, hi in zip(plan.neighbors, [0] + ends, ends):
         plan.recv_slices[nb] = slice(n + lo, n + hi)
-    for nb in neighbors:
-        local = domain.global_to_local(world.recv(rank, nb))  # raises if not owned
-        plan.send_rows[nb] = local if iperm is None else iperm[local]
-
-    slots = np.empty(len(off_globals), dtype=np.int32)
-    slots[order] = np.arange(n, n + len(off_globals))
-    A.col_idx[off_mask] = slots[entry_of]
-    A.n_cols_extended = n + len(off_globals)
+        plan.send_rows[nb] = near[lo:hi]
     return plan
 
 

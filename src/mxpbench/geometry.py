@@ -68,10 +68,6 @@ class GlobalProblem:
     def ranks(self):
         return self.npx * self.npy * self.npz
 
-    @property
-    def n_global(self):
-        return self.nx * self.ny * self.nz
-
     def domain(self, rank):
         """The local domain owned by ``rank`` (finest level)."""
         if not 0 <= rank < self.ranks:
@@ -89,8 +85,8 @@ class GlobalProblem:
 class LocalDomain:
     """One rank's box at one grid level.
 
-    Carries enough of the global layout (global dims, rank grid) to do all
-    local<->global index arithmetic without consulting other ranks.
+    Carries enough of the global layout (global dims, rank grid) to place
+    every point of its halo without consulting other ranks.
     """
 
     rank: int
@@ -124,32 +120,33 @@ class LocalDomain:
     def n_rows(self):
         return self.lnx * self.lny * self.lnz
 
-    def local_index(self, i, j, k):
-        """Natural (pre-reordering) local row index of local coords (i, j, k)."""
-        return i + self.lnx * (j + self.lny * k)
+    def shell(self):
+        """The one-point shell around the box, in halo slot order.
 
-    def global_coords(self, g):
-        gx = g % self.gnx
-        rem = g // self.gnx
-        return gx, rem % self.gny, rem // self.gny
-
-    def global_to_local(self, g):
-        """Natural local row indices of an array of global indices this rank
-        owns; raises ValueError if any is not owned."""
-        g = np.asarray(g)
-        gx, gy, gz = self.global_coords(g)
-        i, j, k = gx - self.ox, gy - self.oy, gz - self.oz
-        owned = ((0 <= i) & (i < self.lnx) & (0 <= j) & (j < self.lny)
-                 & (0 <= k) & (k < self.lnz))
-        if not owned.all():
-            raise ValueError(f"global index {g[~owned].flat[0]} "
-                             f"not owned by rank {self.rank}")
-        return self.local_index(i, j, k)
-
-    def owner_rank(self, g):
-        """Rank id owning global index ``g`` (elementwise for an array)."""
-        gx, gy, gz = self.global_coords(g)
-        return (gx // self.lnx) + self.npx * ((gy // self.lny) + self.npy * (gz // self.lnz))
+        Covers every point of the extended (lnx+2)(lny+2)(lnz+2) box that
+        lies inside the global grid but outside the box, sorted by owner
+        rank, then global id.  Returns four arrays over those points: the
+        index in the extended box (x fastest), the global id, the owner rank,
+        and the natural local row of the nearest owned point.  The nearest
+        rows of one owner's points are the owned points in that owner's
+        shell, in the owner's slot order: what this rank sends it.
+        """
+        dims = np.array([[self.lnx], [self.lny], [self.lnz]])
+        gdims = np.array([[self.gnx], [self.gny], [self.gnz]])
+        # local coords of every extended-box point, x fastest
+        loc = np.indices((self.lnz + 2, self.lny + 2, self.lnx + 2)
+                         ).reshape(3, -1)[::-1] - 1
+        g = loc + np.array([[self.ox], [self.oy], [self.oz]])
+        side = (loc >= dims).astype(np.intp) - (loc < 0)   # -1, 0, +1
+        in_grid = ((g >= 0) & (g < gdims)).all(axis=0)
+        ext = np.flatnonzero(in_grid & side.any(axis=0))
+        gid = g[0, ext] + self.gnx * (g[1, ext] + self.gny * g[2, ext])
+        c = np.array([[self.ix], [self.iy], [self.iz]]) + side[:, ext]
+        owner = c[0] + self.npx * (c[1] + self.npy * c[2])
+        near = np.clip(loc[:, ext], 0, dims - 1)
+        near = near[0] + self.lnx * (near[1] + self.lny * near[2])
+        order = np.lexsort((gid, owner))
+        return ext[order], gid[order], owner[order], near[order]
 
     def neighbor_ranks(self):
         """Ranks owning boxes adjacent to this one (face, edge or corner)."""

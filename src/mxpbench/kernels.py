@@ -181,15 +181,12 @@ def row_set(vals, cols, n, out=None):
 
     ``vals`` and ``cols`` (int32) are column-major arrays of one shape;
     ``out`` lists the intp rows of the output that the set writes (None:
-    set row i writes entry i).  A negative column, one no halo plan has
-    resolved, raises.
+    set row i writes entry i).
     """
     if cols.shape != vals.shape:
         raise ValueError(f"values {vals.shape} and columns {cols.shape} differ")
     read = written = 0
     if n:
-        if cols[:n].min() < 0:
-            raise ValueError("a kernel row reads an unresolved halo column")
         read = int(cols[:n].max()) + 1
         written = n if out is None else int(out[:n].max()) + 1
     args = (n, vals.shape[1], vals.shape[0], _address(vals.T, vals.dtype),

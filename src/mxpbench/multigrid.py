@@ -58,10 +58,14 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
     Once every level exists, each one's kernel row sets are built in both
     precisions (``problem.attach_sets``); nothing is derived after set-up.
     Raises CoarseningError (from the domain) if the local box cannot be
-    halved ``levels - 1`` times.
+    halved ``levels - 1`` times, and ValueError for a domain with neighbors
+    but no world to exchange with.
     """
     if levels < 1:
         raise ValueError("need at least one level")
+    if world is None and domain.neighbor_ranks():
+        raise ValueError(f"rank {domain.rank} has neighbors but no world "
+                         f"to exchange with")
     sweeps = sweeps or SmootherWorkspace()
     out = []
     dom = domain
@@ -69,8 +73,8 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
         A_nat = generate_matrix(dom)
         col = color_rows(A_nat, strategy=strategy, seed=seed)
         A = permute_system(A_nat, col)
-        del A_nat   # free the natural order before the plan and fp32 copy
-        plan = build_halo_plan(dom, A, world, rank, iperm=col.iperm)
+        del A_nat   # free the natural order before the fp32 copy
+        plan = build_halo_plan(dom, iperm=col.iperm)
         level = MgLevel(domain=dom, A_hi=A, A_lo=to_low_precision(A),
                         coloring=col, plan=plan)
         level.z_hi = np.zeros(A.n_cols_extended)

@@ -14,11 +14,11 @@ SISC 2014) that the C row kernels of ``kernels`` walk slot by slot over a
 block of rows.  ``attach_sets`` packs row subsets in the same layout, once.
 
 ``col_idx`` is the one index array, held in the form the kernels read: int32,
-with each padding slot pointing at its own row (value 0.0).  Once a halo
-plan has run every entry lies in ``[0, n_cols_extended)``; until then columns
-owned by other ranks hold ``UNRESOLVED``, the one sentinel.  A padding
-product is a signed zero, and adding it to an accumulator that starts at
-+0.0 changes no bit.
+with each padding slot pointing at its own row (value 0.0).  Every entry lies
+in ``[0, n_cols_extended)`` from generation on: a column owned by another
+rank holds its halo slot, which the grid alone decides
+(``LocalDomain.shell``).  A padding product is a signed zero, and adding it
+to an accumulator that starts at +0.0 changes no bit.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ _OFFSETS = [(dx, dy, dz)
             for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 _SELF_POS = _OFFSETS.index((0, 0, 0))
 
-# col_idx entry of an off-rank column not yet given a halo slot.
-UNRESOLVED = -2
-
 
 class SingularDiagonal(Exception):
     """A matrix has a zero diagonal entry, which Gauss-Seidel divides by."""
@@ -53,13 +50,12 @@ class EllMatrix:
     ``values``, ``col_idx`` and ``col_global`` are n x width and column-major,
     slot s of every row contiguous; slot order within a row is ascending
     global column and never changes.  ``col_idx`` (int32) holds local row
-    indices for owned columns and, once a halo plan has run, halo slot
-    indices (>= n_rows) for neighbor-owned columns; before that they are
-    UNRESOLVED.  A padding slot (s >= row_nnz[i]) holds value 0.0 and
-    column i, so every kernel reads ``col_idx`` as it is.  ``col_global``
-    keeps the global ids of all entries, -1 for padding.  ``diag_pos[i]`` is
-    the position of the diagonal within row i.  ``sets`` holds the kernel
-    row sets, ``KernelSets``, once ``attach_sets`` has run.
+    indices for owned columns and halo slot indices (n_rows and up) for
+    neighbor-owned columns.  A padding slot (s >= row_nnz[i]) holds value
+    0.0 and column i, so every kernel reads ``col_idx`` as it is.
+    ``col_global`` keeps the global ids of all entries, -1 for padding.
+    ``diag_pos[i]`` is the position of the diagonal within row i.  ``sets``
+    holds the kernel row sets, ``KernelSets``, once ``attach_sets`` has run.
     """
 
     n_rows: int
@@ -94,10 +90,9 @@ def attach_sets(matrices, color_offsets, f2c=None):
 
     ``matrices`` are the level's precision twins, which share ``col_idx``:
     each index pack is built once for all of them, each value pack and the
-    diagonal once per matrix.  Run it after the halo plan.
-    ``color_offsets`` (intp) splits the rows into colour blocks; ``f2c``
-    lists the rows the next level injects from.  A zero diagonal raises
-    SingularDiagonal; an unresolved column, ValueError.
+    diagonal once per matrix.  ``color_offsets`` (intp) splits the rows into
+    colour blocks; ``f2c`` lists the rows the next level injects from.  A
+    zero diagonal raises SingularDiagonal.
     """
     A0 = matrices[0]
     n = A0.n_rows
@@ -137,18 +132,27 @@ def take_rows(a, rows):
 def generate_matrix(domain):
     """Assemble the rank-local 27-point stencil rows for ``domain``.
 
-    Owned columns get their natural local index in ``col_idx``; columns owned
-    by neighboring ranks are left UNRESOLVED until a halo plan assigns slots.
+    Owned columns get their natural local index in ``col_idx``, and columns
+    owned by neighboring ranks get ``n_rows + slot``, their place in
+    ``domain.shell()``: owner rank ascending, then global id ascending.
     """
     lnx, lny, lnz = domain.lnx, domain.lny, domain.lnz
     n = domain.n_rows
+    ex, ey = lnx + 2, lny + 2
+    ext, shell_gid, _, _ = domain.shell()
     # Local coords of every row in natural order (x fastest).
     li = np.tile(np.arange(lnx), lny * lnz)
     lj = np.tile(np.repeat(np.arange(lny), lnx), lnz)
     lk = np.repeat(np.arange(lnz), lnx * lny)
-    gx = li + domain.ox
-    gy = lj + domain.oy
-    gz = lk + domain.oz
+    at = (li + 1) + ex * ((lj + 1) + ey * (lk + 1))   # in the extended box
+    # Column of every extended-box point; -1 outside the global grid.
+    col_of = np.full(ex * ey * (lnz + 2), -1, dtype=np.int32)
+    col_of[at] = np.arange(n)
+    col_of[ext] = np.arange(n, n + len(ext))
+    gid_of = np.concatenate((
+        (li + domain.ox) + domain.gnx * ((lj + domain.oy)
+                                         + domain.gny * (lk + domain.oz)),
+        shell_gid))
 
     # Column-major from the start; unfilled slots stay padding (0.0, own row).
     vals = np.zeros((n, STENCIL_WIDTH), order="F")
@@ -159,27 +163,20 @@ def generate_matrix(domain):
     # Offsets ascend in global index, so appending each valid neighbor at
     # its row's next free slot keeps rows sorted with padding at the tail.
     for k, (dx, dy, dz) in enumerate(_OFFSETS):
-        nx_, ny_, nz_ = gx + dx, gy + dy, gz + dz
-        ok = ((0 <= nx_) & (nx_ < domain.gnx)
-              & (0 <= ny_) & (ny_ < domain.gny)
-              & (0 <= nz_) & (nz_ < domain.gnz))
-        owned = ((domain.ox <= nx_) & (nx_ < domain.ox + lnx)
-                 & (domain.oy <= ny_) & (ny_ < domain.oy + lny)
-                 & (domain.oz <= nz_) & (nz_ < domain.oz + lnz))
-        rows = np.flatnonzero(ok)
+        col = col_of[at + (dx + ex * (dy + ey * dz))]
+        rows = np.flatnonzero(col >= 0)
+        col = col[rows]
         slot = row_nnz[rows]
         if k == _SELF_POS:      # every row holds itself
             diag_pos = slot
         vals[rows, slot] = 26.0 if k == _SELF_POS else -1.0
-        colg[rows, slot] = (nx_ + domain.gnx * (ny_ + domain.gny * nz_))[rows]
-        local = (nx_ - domain.ox) + lnx * ((ny_ - domain.oy)
-                                           + lny * (nz_ - domain.oz))
-        cols[rows, slot] = np.where(owned, local, UNRESOLVED)[rows]
+        cols[rows, slot] = col
+        colg[rows, slot] = gid_of[col]
         row_nnz[rows] += 1
 
     return EllMatrix(n_rows=n, width=STENCIL_WIDTH, values=vals, col_idx=cols,
                      col_global=colg, row_nnz=row_nnz, diag_pos=diag_pos,
-                     nnz_total=int(row_nnz.sum()), n_cols_extended=n)
+                     nnz_total=int(row_nnz.sum()), n_cols_extended=n + len(ext))
 
 
 @dataclass
@@ -207,17 +204,14 @@ def to_low_precision(A):
     return replace(A, values=A.values.astype(np.float32), sets=None)
 
 
-def write_matrix_market(path, A, global_rows, n_global):
-    """Dump local rows as MatrixMarket coordinate triplets (1-based, global ids).
-
-    ``global_rows[i]`` is the global id of local row i in A's current row
-    order.
-    """
+def write_matrix_market(path, A):
+    """Dump a whole-grid, 1-rank, natural-order matrix as MatrixMarket
+    coordinate triplets (1-based; there, local ids are global ids)."""
     stored = np.arange(A.width) < A.row_nnz[:, None]
     triplets = np.column_stack((
-        np.repeat(np.asarray(global_rows) + 1, A.row_nnz),
-        A.col_global[stored] + 1,
+        np.repeat(np.arange(1, A.n_rows + 1), A.row_nnz),
+        A.col_idx[stored] + 1,
         A.values[stored]))
     np.savetxt(path, triplets, fmt="%d %d %.17g", comments="",
                header="%%MatrixMarket matrix coordinate real general\n"
-                      f"{n_global} {n_global} {A.nnz_total}")
+                      f"{A.n_rows} {A.n_rows} {A.nnz_total}")

@@ -260,8 +260,40 @@ def local_to_global(dom, i, j, k):
     return (dom.ox + i) + dom.gnx * ((dom.oy + j) + dom.gny * (dom.oz + k))
 
 
+def local_index(dom, i, j, k):
+    """Natural (pre-reordering) local row index of local coords (i, j, k)."""
+    return i + dom.lnx * (j + dom.lny * k)
+
+
+def global_coords(dom, g):
+    gx = g % dom.gnx
+    rem = g // dom.gnx
+    return gx, rem % dom.gny, rem // dom.gny
+
+
+def global_to_local(dom, g):
+    """Natural local row indices of an array of global indices ``dom``
+    owns; raises ValueError if any is not owned."""
+    g = np.asarray(g)
+    gx, gy, gz = global_coords(dom, g)
+    i, j, k = gx - dom.ox, gy - dom.oy, gz - dom.oz
+    owned = ((0 <= i) & (i < dom.lnx) & (0 <= j) & (j < dom.lny)
+             & (0 <= k) & (k < dom.lnz))
+    if not owned.all():
+        raise ValueError(f"global index {g[~owned].flat[0]} "
+                         f"not owned by rank {dom.rank}")
+    return local_index(dom, i, j, k)
+
+
+def owner_rank(dom, g):
+    """Rank id owning global index ``g`` (elementwise for an array)."""
+    gx, gy, gz = global_coords(dom, g)
+    return (gx // dom.lnx) + dom.npx * ((gy // dom.lny)
+                                        + dom.npy * (gz // dom.lnz))
+
+
 def owns_global(dom, g):
-    gx, gy, gz = dom.global_coords(g)
+    gx, gy, gz = global_coords(dom, g)
     return (dom.ox <= gx < dom.ox + dom.lnx
             and dom.oy <= gy < dom.oy + dom.lny
             and dom.oz <= gz < dom.oz + dom.lnz)

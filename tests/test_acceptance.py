@@ -112,8 +112,7 @@ def test_criterion_1_oracle_equivalence():
         Al = generate_matrix(gp.domain(rank))
         cl = color(Al, "greedy")
         Al = permute_system(Al, cl)
-        plan = build_halo_plan(gp.domain(rank), Al, world=world, rank=rank,
-                               iperm=cl.iperm)
+        plan = build_halo_plan(gp.domain(rank), iperm=cl.iperm)
         with_sets(Al, cl)
         lrng = np.random.default_rng(50 + rank)
         xv = np.zeros(Al.n_cols_extended)
@@ -380,8 +379,7 @@ def test_criterion_9_multirank_consistency():
         A = generate_matrix(gp.domain(rank))
         c = color(A, "greedy")
         A = permute_system(A, c)
-        plan = build_halo_plan(gp.domain(rank), A, world=world, rank=rank,
-                               iperm=c.iperm)
+        plan = build_halo_plan(gp.domain(rank), iperm=c.iperm)
         with_sets(A, c)
         gids = A.col_global[np.arange(A.n_rows), A.diag_pos]
         x = np.zeros(A.n_cols_extended)

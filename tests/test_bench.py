@@ -60,6 +60,7 @@ def _override_id(overrides):
     {"nu2": 0},
     {"nu_c": 0},
     {"mg_levels": 0},
+    {"mg_levels": -2000},        # checked before 2**(mg_levels-1) is formed
     {"tol": 1.0},
     {"tol": 2.0},
     {"tol": float("inf")},

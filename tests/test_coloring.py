@@ -35,7 +35,7 @@ def test_greedy_uses_4_colors_on_2d_stencil():
 
 
 def _rank_blocks():
-    """Each rank block of an 8-rank 8^3 split (blocks hold UNRESOLVED halo)."""
+    """Each rank block of an 8-rank 8^3 split (blocks hold halo columns)."""
     return [_stencil_matrix(8, 8, 8, ranks=8, rank=r) for r in range(8)]
 
 

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from mxpbench import comm
-from mxpbench.comm import (ProtocolError, RankWorld, TopologyError,
-                           build_halo_plan, exchange, exchange_overlapped)
+from mxpbench.comm import (ProtocolError, RankWorld, build_halo_plan,
+                           exchange, exchange_overlapped)
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
+from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import generate_matrix
 
-from _oracles import local_to_global, oracle_cols, seq_spmv, with_sets
+from _oracles import (local_index, local_to_global, oracle_cols, owner_rank,
+                      seq_spmv, with_sets)
 
 
 def test_all_reduce_sum_fixed_order():
@@ -174,13 +176,11 @@ def test_skipped_collective_times_out(monkeypatch):
 
 def _plan_worker(world, rank, gp):
     dom = gp.domain(rank)
-    A = generate_matrix(dom)
-    plan = build_halo_plan(dom, A, world, rank)
-    return dom, A, plan
+    return dom, generate_matrix(dom), build_halo_plan(dom)
 
 
 def _slot_globals(A):
-    """Global id held by each halo slot, read from A's rewritten columns."""
+    """Global id held by each halo slot, read from A's columns."""
     halo = A.col_idx >= A.n_rows
     pairs = np.unique(np.stack([A.col_idx[halo], A.col_global[halo]]), axis=1)
     slots, globs = pairs
@@ -218,13 +218,13 @@ def test_exchange_delivers_global_ids(ranks):
         for k in range(dom.lnz):
             for j in range(dom.lny):
                 for i in range(dom.lnx):
-                    v[dom.local_index(i, j, k)] = local_to_global(dom, i, j, k)
+                    v[local_index(dom, i, j, k)] = local_to_global(dom, i, j, k)
         exchange(v, plan, world, rank)
         globs = _slot_globals(A)
         assert np.array_equal(v[A.n_rows:], globs)
         # slots ascend by (owner rank, global id); the neighbors' receive
         # slices tile the halo in order, each holding only its own columns
-        owners = dom.owner_rank(globs)
+        owners = owner_rank(dom, globs)
         keys = list(zip(owners.tolist(), globs.tolist()))
         assert keys == sorted(keys)
         cols = np.arange(A.n_cols_extended)
@@ -257,18 +257,13 @@ def test_exchange_rejects_a_short_halo_message():
 
 
 def test_kernel_sets_need_the_halo_plan_first():
-    # Before the plan, off-rank columns are UNRESOLVED: a halo split would
-    # count every row as interior, and its off-rank entries would read
-    # x[UNRESOLVED].  Building the sets then raises; after it they are right.
+    # A generated matrix already holds its halo slots, so its kernel sets,
+    # with the plan built from the same grid, give the oracle's SpMV both
+    # overlapped with the exchange and after it.
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
     def worker(world, rank):
-        dom = gp.domain(rank)
-        A = generate_matrix(dom)
-        with pytest.raises(ValueError, match="unresolved halo column"):
-            with_sets(A)
-        assert A.sets is None
-        plan = build_halo_plan(dom, A, world, rank)
+        dom, A, plan = _plan_worker(world, rank, gp)
         with_sets(A)
         rng = np.random.default_rng(40 + rank)
         x = np.zeros(A.n_cols_extended)
@@ -305,30 +300,43 @@ def test_exchange_overlapped_matches_blocking():
     assert all(RankWorld(8).run(worker))
 
 
-def test_non_neighbor_column_raises_topology_error():
-    gp = GlobalProblem.from_local(4, 4, 4, 12)   # 2x2x3 rank grid
-
-    def worker(world, rank):
-        dom = gp.domain(rank)
-        A = generate_matrix(dom)
-        if rank == 0:
-            # rank 8 sits two steps away along z: not a geometric neighbor
-            assert 8 not in dom.neighbor_ranks()
-            bad = local_to_global(gp.domain(8), 0, 0, 0)
-            unresolved = np.argwhere(A.col_idx == -2)
-            i, s = unresolved[0]
-            A.col_global[i, s] = bad
-        return build_halo_plan(dom, A, world, rank)
-
-    with pytest.raises(TopologyError, match="not a neighbor"):
-        RankWorld(12).run(worker)
-
-
 def test_single_rank_plan_is_empty():
     gp = GlobalProblem.from_local(4, 4, 4, 1)
     dom = gp.domain(0)
     A = generate_matrix(dom)
-    plan = build_halo_plan(dom, A)
+    plan = build_halo_plan(dom)
     assert plan.neighbors == []
     assert plan.send_rows == {} and plan.recv_slices == {}
     assert A.n_cols_extended == A.n_rows
+
+
+def test_plans_agree_without_messages():
+    # Built from each rank's own grid arithmetic, the rows a rank sends to
+    # nb are, in order, the global ids that nb's receive slice from it
+    # holds, at every level of the hierarchy.
+    gp = GlobalProblem.from_local(4, 4, 4, 27)
+
+    def worker(world, rank):
+        h = build_hierarchy(gp.domain(rank), 2, world, rank)
+        out = []
+        for lv in h.levels:
+            A = lv.A_hi
+            gids = np.concatenate((
+                A.col_global[np.arange(A.n_rows), A.diag_pos],
+                _slot_globals(A)))
+            out.append(({nb: gids[rows]
+                         for nb, rows in lv.plan.send_rows.items()},
+                        {nb: gids[sl]
+                         for nb, sl in lv.plan.recv_slices.items()}))
+        return out
+
+    outs = RankWorld(27).run(worker)
+    for lev in range(2):
+        pairs = 0
+        for rank, levels in enumerate(outs):
+            sends, _ = levels[lev]
+            for nb, sent in sends.items():
+                assert np.array_equal(sent, outs[nb][lev][1][rank])
+                pairs += 1
+        # Per axis, ranks 0, 1, 2 see 2, 3, 2 coordinates (their own too).
+        assert pairs == (2 + 3 + 2) ** 3 - 27

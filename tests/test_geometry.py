@@ -5,7 +5,8 @@ import pytest
 
 from mxpbench.geometry import CoarseningError, GlobalProblem, factor_ranks
 
-from _oracles import best_factor, local_to_global, owns_global
+from _oracles import (best_factor, global_coords, global_to_local,
+                      local_index, local_to_global, owner_rank, owns_global)
 
 
 def test_factor_ranks_small_cases():
@@ -33,13 +34,12 @@ def test_global_problem_from_local():
     gp = GlobalProblem.from_local(16, 16, 16, 8)
     assert (gp.npx, gp.npy, gp.npz) == (2, 2, 2)
     assert (gp.nx, gp.ny, gp.nz) == (32, 32, 32)
-    assert gp.n_global == 32 ** 3
     assert gp.ranks == 8
 
 
 def test_domain_offsets_partition_the_grid():
     gp = GlobalProblem.from_local(4, 6, 8, 12)   # 2 x 2 x 3 rank grid
-    seen = np.zeros(gp.n_global, dtype=int)
+    seen = np.zeros(gp.nx * gp.ny * gp.nz, dtype=int)
     for r in range(gp.ranks):
         d = gp.domain(r)
         for k in range(d.lnz):
@@ -60,20 +60,20 @@ def test_local_global_roundtrip_random():
         k = int(rng.integers(d.lnz))
         g = local_to_global(d, i, j, k)
         assert owns_global(d, g)
-        assert d.global_coords(g) == (d.ox + i, d.oy + j, d.oz + k)
-        assert d.global_to_local(g) == d.local_index(i, j, k)
-        assert d.owner_rank(g) == r
+        assert global_coords(d, g) == (d.ox + i, d.oy + j, d.oz + k)
+        assert global_to_local(d, g) == local_index(d, i, j, k)
+        assert owner_rank(d, g) == r
 
 
 def test_global_to_local_rejects_a_foreign_index():
     gp = GlobalProblem.from_local(4, 4, 4, 2)
     d0, d1 = gp.domain(0), gp.domain(1)
     own = np.array([local_to_global(d0, i, 1, 2) for i in range(4)])
-    assert np.array_equal(d0.global_to_local(own),
-                          [d0.local_index(i, 1, 2) for i in range(4)])
+    assert np.array_equal(global_to_local(d0, own),
+                          [local_index(d0, i, 1, 2) for i in range(4)])
     foreign = local_to_global(d1, 0, 0, 0)
     with pytest.raises(ValueError, match="not owned"):
-        d0.global_to_local(np.append(own, foreign))
+        global_to_local(d0, np.append(own, foreign))
 
 
 def test_owner_rank_consistent_across_ranks():
@@ -81,8 +81,8 @@ def test_owner_rank_consistent_across_ranks():
     gp = GlobalProblem.from_local(4, 4, 4, 8)
     d0 = gp.domain(0)
     for _ in range(100):
-        g = int(rng.integers(gp.n_global))
-        owner = d0.owner_rank(g)
+        g = int(rng.integers(gp.nx * gp.ny * gp.nz))
+        owner = owner_rank(d0, g)
         assert owns_global(gp.domain(owner), g)
 
 
@@ -146,3 +146,35 @@ def test_coarse_offsets_follow_fine_offsets():
         d = gp.domain(r)
         c = d.coarsen()
         assert (c.ox, c.oy, c.oz) == (d.ox // 2, d.oy // 2, d.oz // 2)
+
+
+def test_shell_lists_the_halo_in_slot_order():
+    # Against a point-by-point walk of the extended box: every in-grid
+    # point one step outside the box, sorted by (owner rank, global id),
+    # with the local row of its nearest owned point.
+    gp = GlobalProblem.from_local(4, 2, 2, 12)   # 2x2x3 rank grid
+    for r in range(gp.ranks):
+        d = gp.domain(r)
+        want = []
+        for k in range(-1, d.lnz + 1):
+            for j in range(-1, d.lny + 1):
+                for i in range(-1, d.lnx + 1):
+                    gx, gy, gz = d.ox + i, d.oy + j, d.oz + k
+                    inside = (0 <= i < d.lnx and 0 <= j < d.lny
+                              and 0 <= k < d.lnz)
+                    if inside or not (0 <= gx < d.gnx and 0 <= gy < d.gny
+                                      and 0 <= gz < d.gnz):
+                        continue
+                    g = gx + d.gnx * (gy + d.gny * gz)
+                    ext = (i + 1) + (d.lnx + 2) * ((j + 1)
+                                                   + (d.lny + 2) * (k + 1))
+                    near = local_index(d, min(max(i, 0), d.lnx - 1),
+                                       min(max(j, 0), d.lny - 1),
+                                       min(max(k, 0), d.lnz - 1))
+                    want.append((owner_rank(d, g), g, ext, near))
+        want.sort()
+        ext, gid, owner, near = d.shell()
+        got = list(zip(owner.tolist(), gid.tolist(), ext.tolist(),
+                       near.tolist()))
+        assert got == want
+        assert sorted(set(owner.tolist())) == d.neighbor_ranks()

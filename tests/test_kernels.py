@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 import mxpbench
-from mxpbench import kernels
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
 from mxpbench.multigrid import build_hierarchy, fused_residual_restrict
-from mxpbench.problem import generate_matrix
 from mxpbench.smoother import forward_gs_sweep
 
 from _oracles import (oracle_cols, seq_gs_sweep, seq_restrict_residual,
@@ -117,9 +115,3 @@ def test_kernels_refuse_vectors_they_would_overrun(hierarchy16):
         spmv(A, np.zeros(A.n_rows, dtype=np.float32), tally=Tally())
     with pytest.raises(TypeError, match="not C contiguous"):
         spmv(A, np.zeros(2 * A.n_rows)[::2], tally=Tally())
-
-
-def test_kernels_refuse_unresolved_halo_columns():
-    A = generate_matrix(GlobalProblem.from_local(4, 4, 4, 2).domain(0))
-    with pytest.raises(ValueError, match="unresolved halo column"):
-        kernels.row_set(A.values, A.col_idx, A.n_rows)

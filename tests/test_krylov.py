@@ -50,8 +50,7 @@ def test_spmv_overlapped_matches_blocking_on_eight_ranks():
         A = generate_matrix(gp.domain(rank))
         c = color(A, "greedy")
         A = permute_system(A, c)
-        plan = build_halo_plan(gp.domain(rank), A, world=world, rank=rank,
-                               iperm=c.iperm)
+        plan = build_halo_plan(gp.domain(rank), iperm=c.iperm)
         with_sets(A, c)
         rng = np.random.default_rng(100 + rank)
         x = np.zeros(A.n_cols_extended)

@@ -57,6 +57,14 @@ def test_hierarchy_too_deep_raises():
         build_hierarchy(gp.domain(0), 4, sweeps=SmootherWorkspace())
 
 
+def test_hierarchy_with_neighbors_needs_a_world():
+    # Without a world every halo exchange would do nothing and leave the
+    # halo slots stale, so a domain with neighbors is refused.
+    gp = GlobalProblem.from_local(4, 4, 4, 2)
+    with pytest.raises(ValueError, match="neighbors but no world"):
+        build_hierarchy(gp.domain(1), 2)
+
+
 def test_f2c_matches_coordinate_doubling():
     h = _hierarchy(16, 16, 16, 4)
     for fine, coarse in zip(h.levels[:-1], h.levels[1:]):

@@ -6,8 +6,8 @@ import pytest
 from mxpbench.comm import RankWorld
 from mxpbench.geometry import GlobalProblem
 from mxpbench.multigrid import build_hierarchy
-from mxpbench.problem import (UNRESOLVED, generate_matrix, generate_rhs,
-                              to_low_precision, write_matrix_market)
+from mxpbench.problem import (generate_matrix, generate_rhs, to_low_precision,
+                              write_matrix_market)
 
 from _oracles import (dense_stencil_3d, ell_to_dense, owns_global,
                       padding_mask, row_dot, seq_spmv, structure_signature,
@@ -72,14 +72,21 @@ def test_rhs_is_row_sums():
 def test_two_rank_split_marks_remote_columns():
     gp = GlobalProblem.from_local(4, 4, 4, 2)     # stacked along z
     A0 = generate_matrix(gp.domain(0))
-    unresolved = A0.col_idx == UNRESOLVED
-    assert unresolved.sum() == 100            # (2+3+3+2)^2 face references
-    remote = np.unique(A0.col_global[unresolved])
-    assert len(remote) == 16                  # one 4x4 plane of halo points
+    n = A0.n_rows
+    remote = A0.col_idx >= n
+    assert remote.sum() == 100                # (2+3+3+2)^2 face references
+    # they land in slots n..n+15, one 4x4 plane of rank 1's points, whose
+    # global ids ascend with the slot
+    assert A0.n_cols_extended == n + 16
+    slots, first = np.unique(A0.col_idx[remote], return_index=True)
+    assert np.array_equal(slots, np.arange(n, n + 16))
+    ids = A0.col_global[remote][first]
+    assert np.all(np.diff(ids) > 0)
     d1 = gp.domain(1)
-    assert all(owns_global(d1, int(g)) for g in remote)
+    assert all(owns_global(d1, int(g)) for g in ids)
+    assert np.array_equal(np.unique(A0.col_global[remote]), ids)
     # rows at the interface keep their full stencil width
-    face_rows = np.flatnonzero(unresolved.any(axis=1))
+    face_rows = np.flatnonzero(remote.any(axis=1))
     assert len(face_rows) == 16
     assert np.all(A0.row_nnz[face_rows] >= 12)
 
@@ -103,8 +110,8 @@ def test_structure_signature_distinguishes_problems():
 
 
 def test_every_level_indexes_in_range_and_pads_with_its_own_row():
-    # Kernels read col_idx as stored: once the halo plan has run, every entry
-    # indexes the halo-tailed vector, and each padding slot holds its own
+    # Kernels read col_idx as stored: every entry indexes the halo-tailed
+    # vector, and each padding slot holds its own
     # row with the value 0.0, in both precisions.
     gp = GlobalProblem.from_local(8, 8, 8, 2)
 
@@ -159,9 +166,8 @@ def test_kernel_sets_pack_the_rows_they_name():
 
 def test_matrix_market_output(tmp_path):
     A = _single_rank(2, 2, 2)
-    rows = A.col_global[np.arange(A.n_rows), A.diag_pos]
     path = tmp_path / "box.mtx"
-    write_matrix_market(path, A, rows, 8)
+    write_matrix_market(path, A)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("%%MatrixMarket matrix coordinate real")
     n, m, nnz = (int(t) for t in lines[1].split())

@@ -20,7 +20,6 @@ def _permuted(nx, ny, nz, strategy="greedy"):
     A = generate_matrix(gp.domain(0))
     c = color(A, strategy)
     Ap = permute_system(A, c)
-    build_halo_plan(gp.domain(0), Ap)
     return with_sets(Ap, c), c
 
 
@@ -60,7 +59,6 @@ def test_single_point_system_solved_exactly():
     A = generate_matrix(gp.domain(0))
     c = color(A, "greedy")
     Ap = permute_system(A, c)
-    build_halo_plan(gp.domain(0), Ap)
     with_sets(Ap, c)
     z = np.zeros(1)
     forward_gs_sweep(Ap, np.array([13.0]), z, z_is_zero=True, tally=Tally())
@@ -115,7 +113,7 @@ def test_overlapped_matches_blocking_on_8_ranks():
         A = generate_matrix(dom)
         c = color(A, "greedy")
         Ap = permute_system(A, c)
-        plan = build_halo_plan(dom, Ap, world, rank, iperm=c.iperm)
+        plan = build_halo_plan(dom, iperm=c.iperm)
         with_sets(Ap, c)
         z = np.zeros(Ap.n_cols_extended)
         z[:64] = zs[rank][c.perm]
