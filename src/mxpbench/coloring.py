@@ -1,11 +1,10 @@
 """Independent-set (multicolor) row orderings for parallel Gauss-Seidel.
 
-Rows that share no local coupling may relax simultaneously, so we partition
-each rank's rows into color classes and reorder the system color by color.
-Both strategies are one vectorized Jones-Plassmann routine: first-fit greedy
-in ascending row order is Jones-Plassmann with the fixed priority -index.
-Couplings into neighbor ranks are ignored here: each subdomain is colored
-on its own, without communication.
+Rows that share no local coupling may relax simultaneously, so each rank's
+rows are split into color classes, decided from the grid box alone, and the
+level is assembled color by color (``problem.generate_matrix``).  Couplings
+into neighbor ranks are ignored: each subdomain is colored on its own,
+without communication.
 """
 
 from __future__ import annotations
@@ -13,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .problem import EllMatrix, generate_matrix, take_rows
 
 
 @dataclass
@@ -31,24 +32,20 @@ def _neighbors(A):
     return np.where((cols < n) & (cols != np.arange(n)[:, None]), cols, n)
 
 
-def _jones_plassmann(nb, rng=None):
+def _jones_plassmann(nb, rng):
     """Color per row by Jones-Plassmann rounds over the symmetric pattern ``nb``.
 
-    A round takes every uncolored row whose key (w[i], i) beats each uncolored
-    neighbor's; each row of that independent set takes the lowest color free
-    of its colored neighbors, found from a bitmask (colors <= degree + 1).
-    w is -i without ``rng``, else ``rng.random(n)`` drawn every round.
+    Each round draws w = ``rng.random(n)`` and takes every uncolored row
+    whose key (w[i], i) beats each uncolored neighbor's; each row of that
+    independent set takes the lowest color free of its colored neighbors,
+    found from a bitmask (colors <= degree + 1).
     """
     n = len(nb)
     bits = np.zeros(n + 1, dtype=np.int64)   # 1 << color, 0 while uncolored
     key = np.full(n + 1, -np.inf)            # w of uncolored rows, else -inf
     cand = np.arange(n)
-    if rng is None:
-        key[:n] = -cand
-        mark = np.zeros(n, dtype=bool)       # rows of the next frontier
     while cand.size:
-        if rng is not None:
-            key[cand] = rng.random(n)[cand]
+        key[cand] = rng.random(n)[cand]
         nbc = nb[cand]
         kn, ki = key[nbc], key[cand, None]
         beats = (kn < ki) | ((kn == ki) & (nbc < cand[:, None]))
@@ -56,32 +53,35 @@ def _jones_plassmann(nb, rng=None):
         used = np.bitwise_or.reduce(bits[nb[sel]], axis=1)
         bits[sel] = ~used & (used + 1)       # lowest clear bit
         key[sel] = -np.inf
-        if rng is None:   # fixed w: only rows next to ``sel`` can turn ready
-            ring = nb[sel].ravel()
-            ring = ring[key[ring] > -np.inf]
-            mark[ring] = True
-            cand = np.flatnonzero(mark)
-            mark[cand] = False
-        else:
-            cand = np.flatnonzero(key[:n] > -np.inf)
+        cand = np.flatnonzero(key[:n] > -np.inf)
     return (np.frexp(bits[:n])[1] - 1).astype(np.int32)
 
 
-def color(A, strategy="greedy", seed=0):
-    """Color the local rows of ``A`` with one Jones-Plassmann routine.
+def color(domain, strategy="greedy", seed=0):
+    """Color the rows of ``domain``'s box; reads no matrix for ``greedy``.
 
-    greedy: fixed priority -row index, identical to first-fit greedy in
-            ascending row order; deterministic, ignores the seed.
-    jpl:    weights redrawn each round from the seeded stream (Luby style).
-    Each row takes the smallest color its colored neighbors have not used,
-    which bounds the color count by the maximum degree plus one.
+    greedy: first-fit greedy in natural row order, which on a box is each
+            point's parity class (x&1) | (y&1)<<1 | (z&1)<<2, the bits of
+            length-1 axes dropped (a class-k point has an earlier neighbor
+            of each class j < k, across the highest bit where j and k
+            differ, and no neighbor of class k); ignores the seed.
+    jpl:    Jones-Plassmann (Jones & Plassmann, SISC 1993) over the natural
+            matrix, weights redrawn each round from the seeded stream.
+    Either way a row's color is the smallest its earlier-colored neighbors
+    have not used, which bounds the count by the maximum degree plus one.
     """
-    n = A.n_rows
-    if strategy not in ("greedy", "jpl"):
+    if strategy == "greedy":
+        dims = np.array([domain.lnx, domain.lny, domain.lnz])
+        parity = domain.coords()[dims > 1] & 1
+        colors = (parity << np.arange(len(parity))[:, None]).sum(
+            axis=0, dtype=np.int32)
+    elif strategy == "jpl":
+        colors = _jones_plassmann(_neighbors(generate_matrix(domain)),
+                                  np.random.default_rng(seed))
+    else:
         raise ValueError(f"unknown coloring strategy: {strategy!r}")
-    colors = _jones_plassmann(_neighbors(A), np.random.default_rng(seed)
-                              if strategy == "jpl" else None)
-    num_colors = int(colors.max()) + 1 if n else 0
+    n = len(colors)
+    num_colors = int(colors.max()) + 1
     counts = np.bincount(colors, minlength=num_colors)
     offsets = np.zeros(num_colors + 1, dtype=np.intp)
     np.cumsum(counts, out=offsets[1:])
@@ -100,8 +100,6 @@ def permute_system(A, coloring):
     entry order inside each row is untouched: entries are sorted by global
     column id, and a symmetric relabeling does not change global ids.
     """
-    from .problem import EllMatrix, take_rows
-
     n = A.n_rows
     perm = coloring.perm
     col_idx = take_rows(A.col_idx, perm)

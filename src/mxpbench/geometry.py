@@ -120,6 +120,10 @@ class LocalDomain:
     def n_rows(self):
         return self.lnx * self.lny * self.lnz
 
+    def coords(self):
+        """3 x n_rows local (x, y, z) of every owned point, natural order."""
+        return np.indices((self.lnz, self.lny, self.lnx)).reshape(3, -1)[::-1]
+
     def shell(self):
         """The one-point shell around the box, in halo slot order.
 

@@ -181,7 +181,7 @@ def row_set(vals, cols, n, out=None):
 
     ``vals`` and ``cols`` (int32) are column-major arrays of one shape;
     ``out`` lists the intp rows of the output that the set writes (None:
-    set row i writes entry i).
+    set row i writes entry i).  A negative entry in either raises ValueError.
     """
     if cols.shape != vals.shape:
         raise ValueError(f"values {vals.shape} and columns {cols.shape} differ")
@@ -189,6 +189,8 @@ def row_set(vals, cols, n, out=None):
     if n:
         read = int(cols[:n].max()) + 1
         written = n if out is None else int(out[:n].max()) + 1
+        if cols[:n].min() < 0 or (out is not None and out[:n].min() < 0):
+            raise ValueError("a row set's columns and rows must be >= 0")
     args = (n, vals.shape[1], vals.shape[0], _address(vals.T, vals.dtype),
             _address(cols.T, np.int32), _address(out, np.intp))
     return RowSet(args, vals.dtype, read, written, (vals, cols, out))

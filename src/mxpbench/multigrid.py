@@ -18,7 +18,6 @@ import numpy as np
 
 from . import kernels
 from .coloring import color as color_rows
-from .coloring import permute_system
 from .comm import build_halo_plan, exchange
 from .problem import attach_sets, generate_matrix, to_low_precision
 from .smoother import SmootherWorkspace, forward_gs_sweep
@@ -53,7 +52,7 @@ class MgHierarchy:
 
 def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
                     seed=0, sweeps=None):
-    """Generate, color, reorder and plan every level below ``domain``.
+    """Color, generate in colored order and plan every level below ``domain``.
 
     Once every level exists, each one's kernel row sets are built in both
     precisions (``problem.attach_sets``); nothing is derived after set-up.
@@ -70,10 +69,8 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
     out = []
     dom = domain
     for lev in range(levels):
-        A_nat = generate_matrix(dom)
-        col = color_rows(A_nat, strategy=strategy, seed=seed)
-        A = permute_system(A_nat, col)
-        del A_nat   # free the natural order before the fp32 copy
+        col = color_rows(dom, strategy=strategy, seed=seed)
+        A = generate_matrix(dom, col.perm)
         plan = build_halo_plan(dom, iperm=col.iperm)
         level = MgLevel(domain=dom, A_hi=A, A_lo=to_low_precision(A),
                         coloring=col, plan=plan)
@@ -99,12 +96,8 @@ def _injection_map(coarse_dom, fine_dom, coarse_perm, fine_iperm):
     The stored map takes a reordered coarse row straight to the reordered
     fine row so kernels never see natural indices.
     """
-    cnx, cny, cnz = coarse_dom.lnx, coarse_dom.lny, coarse_dom.lnz
-    cx = np.tile(np.arange(cnx), cny * cnz)
-    cy = np.tile(np.repeat(np.arange(cny), cnx), cnz)
-    cz = np.repeat(np.arange(cnz), cnx * cny)
-    f_nat = (2 * cx) + fine_dom.lnx * ((2 * cy) + fine_dom.lny * (2 * cz))
-    return fine_iperm[f_nat[coarse_perm]]
+    cx, cy, cz = 2 * coarse_dom.coords()[:, coarse_perm]
+    return fine_iperm[cx + fine_dom.lnx * (cy + fine_dom.lny * cz)]
 
 
 def fused_residual_restrict(A_f, b_f, x_f, tally):

@@ -129,29 +129,28 @@ def take_rows(a, rows):
     return np.take(a.T, rows, axis=1).T
 
 
-def generate_matrix(domain):
+def generate_matrix(domain, perm=None):
     """Assemble the rank-local 27-point stencil rows for ``domain``.
 
-    Owned columns get their natural local index in ``col_idx``, and columns
-    owned by neighboring ranks get ``n_rows + slot``, their place in
+    Row i is the point of natural local row ``perm[i]`` (x fastest; None
+    keeps the natural order), and an owned column is numbered by its row.
+    Columns owned by neighboring ranks get ``n_rows + slot``, their place in
     ``domain.shell()``: owner rank ascending, then global id ascending.
+    The result equals ``coloring.permute_system`` of the natural-order
+    matrix in every array, without building that matrix.
     """
-    lnx, lny, lnz = domain.lnx, domain.lny, domain.lnz
     n = domain.n_rows
-    ex, ey = lnx + 2, lny + 2
+    ex, ey = domain.lnx + 2, domain.lny + 2
     ext, shell_gid, _, _ = domain.shell()
-    # Local coords of every row in natural order (x fastest).
-    li = np.tile(np.arange(lnx), lny * lnz)
-    lj = np.tile(np.repeat(np.arange(lny), lnx), lnz)
-    lk = np.repeat(np.arange(lnz), lnx * lny)
-    at = (li + 1) + ex * ((lj + 1) + ey * (lk + 1))   # in the extended box
+    x, y, z = domain.coords() if perm is None else domain.coords()[:, perm]
+    at = (x + 1) + ex * ((y + 1) + ey * (z + 1))   # in the extended box
     # Column of every extended-box point; -1 outside the global grid.
-    col_of = np.full(ex * ey * (lnz + 2), -1, dtype=np.int32)
+    col_of = np.full(ex * ey * (domain.lnz + 2), -1, dtype=np.int32)
     col_of[at] = np.arange(n)
     col_of[ext] = np.arange(n, n + len(ext))
     gid_of = np.concatenate((
-        (li + domain.ox) + domain.gnx * ((lj + domain.oy)
-                                         + domain.gny * (lk + domain.oz)),
+        (x + domain.ox) + domain.gnx * ((y + domain.oy)
+                                        + domain.gny * (z + domain.oz)),
         shell_gid))
 
     # Column-major from the start; unfilled slots stay padding (0.0, own row).

@@ -37,26 +37,6 @@ def dense_stencil_3d(nx, ny, nz):
     return A
 
 
-def dense_stencil_2d(nx, ny):
-    """9-point stencil (the 2D analogue), used as a coloring fixture."""
-    n = nx * ny
-    A = np.zeros((n, n))
-
-    def gid(i, j):
-        return i + nx * j
-
-    for j in range(ny):
-        for i in range(nx):
-            row = gid(i, j)
-            for dj in (-1, 0, 1):
-                for di in (-1, 0, 1):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny:
-                        col = gid(ii, jj)
-                        A[row, col] = 8.0 if col == row else -1.0
-    return A
-
-
 def ell_to_dense(A):
     """Densify an ELL matrix over its owned columns (halo entries forbidden)."""
     n = A.n_rows
@@ -421,6 +401,18 @@ def greedy_color_dense(D):
             c += 1
         colors[i] = c
     return colors
+
+
+def greedy_color_sequential(adj):
+    """First-fit greedy coloring over ``local_adjacency`` lists, row order."""
+    colors = [-1] * len(adj)
+    for i, nbrs in enumerate(adj):
+        taken = {colors[j] for j in nbrs}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[i] = c
+    return np.array(colors, dtype=np.int32)
 
 
 def ell_from_dense(D):

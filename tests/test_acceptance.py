@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mxpbench.bench import BenchConfig, _build_state, run_benchmark
-from mxpbench.coloring import color, permute_system
+from mxpbench.coloring import color
 from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import gmres_solve, spmv
@@ -25,8 +25,6 @@ from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
 
 from _oracles import (
     check_coloring,
-    dense_stencil_2d,
-    ell_from_dense,
     oracle_cols,
     restrict_inject,
     seq_cgs2,
@@ -83,9 +81,10 @@ def test_criterion_1_oracle_equivalence():
     y_ref, _ = seq_spmv(A.values, oracle_cols(A), x)
     spmv_ok = np.array_equal(spmv(A, x, tally=Tally()), y_ref)
 
-    # Multicolor GS sweep against sequential GS on the permuted matrix.
-    c = color(A, "greedy")
-    Ap = with_sets(permute_system(A, c), c)
+    # Multicolor GS sweep against sequential GS on the colored-order matrix.
+    dom = GlobalProblem.from_local(4, 4, 4, 1).domain(0)
+    c = color(dom, "greedy")
+    Ap = with_sets(generate_matrix(dom, c.perm), c)
     r = rng.integers(-9, 10, size=Ap.n_rows).astype(np.float64)
     z = np.zeros(Ap.n_cols_extended)
     forward_gs_sweep(Ap, r, z, z_is_zero=True, tally=Tally())
@@ -109,9 +108,8 @@ def test_criterion_1_oracle_equivalence():
     gp = GlobalProblem.from_local(4, 4, 4, 8)
 
     def worker(world, rank):
-        Al = generate_matrix(gp.domain(rank))
-        cl = color(Al, "greedy")
-        Al = permute_system(Al, cl)
+        cl = color(gp.domain(rank), "greedy")
+        Al = generate_matrix(gp.domain(rank), cl.perm)
         plan = build_halo_plan(gp.domain(rank), iperm=cl.iperm)
         with_sets(Al, cl)
         lrng = np.random.default_rng(50 + rank)
@@ -246,13 +244,15 @@ def test_criterion_5_residual_recurrence():
 
 
 def test_criterion_6_coloring():
-    A3 = _single_rank_matrix(4, 4, 4)
-    greedy3 = color(A3, "greedy").num_colors
+    dom3 = GlobalProblem.from_local(4, 4, 4, 1).domain(0)
+    greedy3 = color(dom3, "greedy").num_colors
 
-    A2 = ell_from_dense(dense_stencil_2d(6, 6))
-    greedy2 = color(A2, "greedy").num_colors
+    # 2D: a depth-1 box, where the 27-point stencil is the 9-point one.
+    dom2 = GlobalProblem.from_local(6, 6, 1, 1).domain(0)
+    greedy2 = color(dom2, "greedy").num_colors
 
-    jpl_ok = all(check_coloring(A3, color(A3, "jpl", seed=s))
+    A3 = generate_matrix(dom3)
+    jpl_ok = all(check_coloring(A3, color(dom3, "jpl", seed=s))
                  for s in range(100))
 
     ok = greedy3 == 8 and greedy2 == 4 and jpl_ok
@@ -376,9 +376,8 @@ def test_criterion_9_multirank_consistency():
     gp = GlobalProblem.from_local(16, 16, 16, 8)
 
     def spmv_worker(world, rank):
-        A = generate_matrix(gp.domain(rank))
-        c = color(A, "greedy")
-        A = permute_system(A, c)
+        c = color(gp.domain(rank), "greedy")
+        A = generate_matrix(gp.domain(rank), c.perm)
         plan = build_halo_plan(gp.domain(rank), iperm=c.iperm)
         with_sets(A, c)
         gids = A.col_global[np.arange(A.n_rows), A.diag_pos]

@@ -1,5 +1,6 @@
 """Tests for benchmark orchestration, the report contract, and the CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,8 +15,9 @@ from mxpbench.bench import (
     run_benchmark,
     run_validation,
 )
-from mxpbench.comm import ProtocolError
-from mxpbench.metrics import MOTIFS
+from mxpbench.comm import ProtocolError, RankWorld
+from mxpbench.krylov import gmres_solve
+from mxpbench.metrics import MOTIFS, Tally
 
 from _oracles import dense_stencil_3d, strip_timing
 
@@ -98,6 +100,46 @@ def test_fullscale_validation_iteration_counts():
     assert v["n_ir"] == 10
     assert v["ratio"] == 1.0
     assert v["residual"] == pytest.approx(3.338933745599345e-11, rel=1e-12)
+
+
+# (ranks, local edge, levels): the first 16 hex digits of sha256(x.tobytes())
+# and the iteration count, for the mixed then the double solve of the
+# default config from a zero guess.  Multi-rank x is each rank's x, in its
+# stored (colored) order, concatenated in rank order.
+_FROZEN_SOLUTIONS = {
+    (2, 16, 4): (("47271462c5078ecc", 24), ("cf54deaa59faf6db", 23)),
+    (8, 8, 3): (("f9ae525651f1bfcc", 18), ("cfe53bb6f7ed29d6", 18)),
+    (1, 16, 4): (("8a751c0228226dd4", 16), ("b4a158d247c7f07c", 16)),
+    (1, 32, 4): (("447d36cb36f320ed", 30), ("a32c6449d122719f", 29)),
+}
+
+
+def _frozen_worker(world, rank, cfg):
+    hier, b = bench._build_state(cfg, cfg.ranks, world, rank)
+    lv = hier.levels[0]
+    out = []
+    for mode in ("mixed", "double"):
+        x = np.zeros(len(b))
+        res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r, Tally()),
+                          b, x0=x, mode=mode, tol=cfg.tol,
+                          max_iters=cfg.max_iters, m=cfg.restart, plan=lv.plan,
+                          world=world, rank=rank, tally=Tally(),
+                          debug_replication=world is not None)
+        out.append((x, res.iterations))
+    return out
+
+
+@pytest.mark.parametrize("ranks,local,levels", list(_FROZEN_SOLUTIONS))
+def test_solutions_are_bitwise_the_frozen_ones(ranks, local, levels):
+    cfg = BenchConfig(local_nx=local, local_ny=local, local_nz=local,
+                      ranks=ranks, mg_levels=levels)
+    parts = (RankWorld(ranks).run(_frozen_worker, cfg) if ranks > 1
+             else [_frozen_worker(None, 0, cfg)])
+    got = tuple(
+        (hashlib.sha256(np.concatenate([p[k][0] for p in parts]).tobytes())
+         .hexdigest()[:16], parts[0][k][1])
+        for k in range(2))
+    assert got == _FROZEN_SOLUTIONS[ranks, local, levels]
 
 
 def test_validation_reports_raw_unclamped_ratio():

@@ -256,10 +256,10 @@ def test_exchange_rejects_a_short_halo_message():
         RankWorld(2).run(worker)
 
 
-def test_kernel_sets_need_the_halo_plan_first():
-    # A generated matrix already holds its halo slots, so its kernel sets,
-    # with the plan built from the same grid, give the oracle's SpMV both
-    # overlapped with the exchange and after it.
+def test_overlapped_spmv_matches_oracle_on_two_ranks():
+    # A generated matrix holds its halo slots, and the plan comes from the
+    # same grid: SpMV gives the oracle's bits both overlapped with the
+    # exchange and after it.
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
     def worker(world, rank):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mxpbench
+from mxpbench import kernels
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
@@ -115,3 +116,27 @@ def test_kernels_refuse_vectors_they_would_overrun(hierarchy16):
         spmv(A, np.zeros(A.n_rows, dtype=np.float32), tally=Tally())
     with pytest.raises(TypeError, match="not C contiguous"):
         spmv(A, np.zeros(2 * A.n_rows)[::2], tally=Tally())
+
+
+def _pattern(n=4, width=3):
+    """Column-major values and in-range int32 columns of an n-row set."""
+    vals = np.ones((n, width), order="F")
+    cols = np.tile(np.arange(n, dtype=np.int32), (width, 1)).T
+    return vals, cols
+
+
+def test_row_set_refuses_a_negative_column():
+    vals, cols = _pattern()
+    kernels.row_set(vals, cols, 4)
+    cols[2, 1] = -1
+    with pytest.raises(ValueError, match=">= 0"):
+        kernels.row_set(vals, cols, 4)
+
+
+def test_row_set_refuses_a_negative_output_row():
+    vals, cols = _pattern()
+    out = np.arange(4, dtype=np.intp)
+    kernels.row_set(vals, cols, 4, out)
+    out[3] = -2
+    with pytest.raises(ValueError, match=">= 0"):
+        kernels.row_set(vals, cols, 4, out)

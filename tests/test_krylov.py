@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mxpbench.coloring import color, permute_system
+from mxpbench.coloring import color
 from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import (
@@ -47,9 +47,8 @@ def test_spmv_overlapped_matches_blocking_on_eight_ranks():
     gp = GlobalProblem.from_local(8, 8, 8, 8)
 
     def worker(world, rank):
-        A = generate_matrix(gp.domain(rank))
-        c = color(A, "greedy")
-        A = permute_system(A, c)
+        c = color(gp.domain(rank), "greedy")
+        A = generate_matrix(gp.domain(rank), c.perm)
         plan = build_halo_plan(gp.domain(rank), iperm=c.iperm)
         with_sets(A, c)
         rng = np.random.default_rng(100 + rank)

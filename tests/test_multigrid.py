@@ -50,6 +50,26 @@ def test_hierarchy_level_shapes():
         assert lv.A_lo.col_idx is lv.A_hi.col_idx
 
 
+def test_greedy_set_up_assembles_each_level_once_in_colored_order(
+        monkeypatch):
+    import mxpbench.coloring as coloring
+    import mxpbench.multigrid as multigrid
+
+    perms = []
+    generate = multigrid.generate_matrix
+
+    def recording(dom, perm=None):
+        perms.append(perm)
+        return generate(dom, perm)
+
+    monkeypatch.setattr(multigrid, "generate_matrix", recording)
+    monkeypatch.setattr(coloring, "generate_matrix", recording)
+    h = _hierarchy(8, 8, 8, 3)
+    # One matrix per level, no natural-order one: nothing to permute.
+    assert len(perms) == len(h.levels)
+    assert all(p is lv.coloring.perm for p, lv in zip(perms, h.levels))
+
+
 def test_hierarchy_too_deep_raises():
     gp = GlobalProblem.from_local(12, 12, 12, 1)
     # 12 -> 6 -> 3 and 3 is not divisible by 2.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mxpbench.coloring import color, permute_system
+from mxpbench.coloring import color
 from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
@@ -12,15 +12,14 @@ from mxpbench.problem import (SingularDiagonal, generate_matrix, generate_rhs,
                               to_low_precision)
 from mxpbench.smoother import SmootherWorkspace, forward_gs_sweep
 
-from _oracles import ell_from_dense, oracle_cols, seq_gs_sweep, with_sets
+from _oracles import (ell_from_dense, identity_coloring, oracle_cols,
+                      seq_gs_sweep, with_sets)
 
 
 def _permuted(nx, ny, nz, strategy="greedy"):
-    gp = GlobalProblem.from_local(nx, ny, nz, 1)
-    A = generate_matrix(gp.domain(0))
-    c = color(A, strategy)
-    Ap = permute_system(A, c)
-    return with_sets(Ap, c), c
+    dom = GlobalProblem.from_local(nx, ny, nz, 1).domain(0)
+    c = color(dom, strategy)
+    return with_sets(generate_matrix(dom, c.perm), c), c
 
 
 def test_sweep_matches_sequential_oracle_bitwise():
@@ -55,11 +54,9 @@ def test_two_sweeps_match_oracle_bitwise(dtype, strategy):
 
 
 def test_single_point_system_solved_exactly():
-    gp = GlobalProblem.from_local(1, 1, 1, 1)
-    A = generate_matrix(gp.domain(0))
-    c = color(A, "greedy")
-    Ap = permute_system(A, c)
-    with_sets(Ap, c)
+    dom = GlobalProblem.from_local(1, 1, 1, 1).domain(0)
+    c = color(dom, "greedy")
+    Ap = with_sets(generate_matrix(dom, c.perm), c)
     z = np.zeros(1)
     forward_gs_sweep(Ap, np.array([13.0]), z, z_is_zero=True, tally=Tally())
     assert z[0] == 13.0 / 26.0
@@ -110,9 +107,8 @@ def test_overlapped_matches_blocking_on_8_ranks():
 
     def worker(world, rank, overlapped):
         dom = gp.domain(rank)
-        A = generate_matrix(dom)
-        c = color(A, "greedy")
-        Ap = permute_system(A, c)
+        c = color(dom, "greedy")
+        Ap = generate_matrix(dom, c.perm)
         plan = build_halo_plan(dom, iperm=c.iperm)
         with_sets(Ap, c)
         z = np.zeros(Ap.n_cols_extended)
@@ -135,9 +131,8 @@ def test_zero_diagonal_rejected():
     # Set-up refuses it, before any sweep could divide by it.
     A = ell_from_dense(np.array([[1.0, 1.0], [1.0, 2.0]]))
     A.values[0, A.diag_pos[0]] = 0.0        # structurally present, zero value
-    c = color(A, "greedy")
     with pytest.raises(SingularDiagonal):
-        with_sets(A, c)
+        with_sets(A, identity_coloring(A.n_rows))
 
 
 def test_sweep_counts_flops_in_gs_motif():
