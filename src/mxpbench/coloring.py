@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .problem import EllMatrix, generate_matrix, take_rows
+from .problem import EllMatrix, take_rows
 
 
 @dataclass
@@ -25,11 +26,14 @@ class Coloring:
     iperm: np.ndarray          # old row -> new row
 
 
-def _neighbors(A):
-    """n x width locally coupled rows; halo, padding and diagonal slots hold n."""
-    n = A.n_rows
-    cols = np.ascontiguousarray(A.col_idx)   # row gathers read whole rows
-    return np.where((cols < n) & (cols != np.arange(n)[:, None]), cols, n)
+def _grid_neighbors(domain):
+    """n x 27 owned neighbors of each natural-order row of ``domain``'s box,
+    its 3x3x3 neighborhood; the row itself and points off the box hold n."""
+    n, box = domain.n_rows, (domain.lnz, domain.lny, domain.lnx)
+    padded = np.pad(np.arange(n, dtype=np.int32).reshape(box), 1,
+                    constant_values=n)
+    window = sliding_window_view(padded, (3, 3, 3)).reshape(n, 27)
+    return np.where(np.arange(27) == 13, n, window)     # 13: the row itself
 
 
 def _jones_plassmann(nb, rng):
@@ -65,8 +69,8 @@ def color(domain, strategy="greedy", seed=0):
             length-1 axes dropped (a class-k point has an earlier neighbor
             of each class j < k, across the highest bit where j and k
             differ, and no neighbor of class k); ignores the seed.
-    jpl:    Jones-Plassmann (Jones & Plassmann, SISC 1993) over the natural
-            matrix, weights redrawn each round from the seeded stream.
+    jpl:    Jones-Plassmann (Jones & Plassmann, SISC 1993) over the box's
+            neighbors, weights redrawn each round from the seeded stream.
     Either way a row's color is the smallest its earlier-colored neighbors
     have not used, which bounds the count by the maximum degree plus one.
     """
@@ -76,7 +80,7 @@ def color(domain, strategy="greedy", seed=0):
         colors = (parity << np.arange(len(parity))[:, None]).sum(
             axis=0, dtype=np.int32)
     elif strategy == "jpl":
-        colors = _jones_plassmann(_neighbors(generate_matrix(domain)),
+        colors = _jones_plassmann(_grid_neighbors(domain),
                                   np.random.default_rng(seed))
     else:
         raise ValueError(f"unknown coloring strategy: {strategy!r}")

@@ -164,14 +164,14 @@ class HaloPlan:
 def build_halo_plan(domain, iperm=None):
     """The exchange plan of ``domain``, from grid arithmetic alone.
 
-    The halo is the box's one-point shell (``domain.shell()``), whose slot
+    The halo is the box's one-point shell (``domain.shell``), whose slot
     order ``generate_matrix`` also uses.  Each neighbor's points form one
     receive slice; the rows sent to it are the owned points nearest its
     points, which is the neighbor's own slot order for them.  ``iperm``
     maps natural local rows to the stored row order.  No message is sent.
     """
     n = domain.n_rows
-    _, _, owner, near = domain.shell()
+    _, _, owner, near = domain.shell
     if iperm is not None:
         near = iperm[near]
     neighbors, counts = np.unique(owner, return_counts=True)
@@ -184,7 +184,8 @@ def build_halo_plan(domain, iperm=None):
 
 
 def _swap_halo(v, plan, world, rank, interior_work=lambda: None):
-    """Send v's boundary rows, run ``interior_work()``, receive v's halo tail."""
+    """Send copies of v's boundary rows, run ``interior_work()``, which may
+    then write any row of v, and receive v's halo tail."""
     if world is None or not plan.neighbors:
         return interior_work()
     for nb in plan.neighbors:
@@ -209,8 +210,9 @@ def exchange(v, plan, world=None, rank=0):
 def exchange_overlapped(v, plan, world, rank, interior_work):
     """Post sends, run ``interior_work()``, then receive; returns its result.
 
-    The caller guarantees interior_work reads no halo slots and writes no row
-    in a send list, so the result is bitwise identical to exchange-then-work.
+    interior_work may read stale halo slots and write any row; the caller
+    then recomputes every row that read a halo slot, so the result is
+    bitwise identical to exchange-then-work.
     """
     return _swap_halo(v, plan, world, rank, interior_work)
 

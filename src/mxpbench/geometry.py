@@ -9,6 +9,7 @@ and safe to share between rank workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -124,16 +125,17 @@ class LocalDomain:
         """3 x n_rows local (x, y, z) of every owned point, natural order."""
         return np.indices((self.lnz, self.lny, self.lnx)).reshape(3, -1)[::-1]
 
+    @cached_property
     def shell(self):
         """The one-point shell around the box, in halo slot order.
 
         Covers every point of the extended (lnx+2)(lny+2)(lnz+2) box that
         lies inside the global grid but outside the box, sorted by owner
-        rank, then global id.  Returns four arrays over those points: the
-        index in the extended box (x fastest), the global id, the owner rank,
-        and the natural local row of the nearest owned point.  The nearest
-        rows of one owner's points are the owned points in that owner's
-        shell, in the owner's slot order: what this rank sends it.
+        rank, then global id.  Its four read-only rows, over those points,
+        are the index in the extended box (x fastest), the global id, the
+        owner rank, and the natural local row of the nearest owned point.
+        The nearest rows of one owner's points are the owned points in that
+        owner's shell, in the owner's slot order: what this rank sends it.
         """
         dims = np.array([[self.lnx], [self.lny], [self.lnz]])
         gdims = np.array([[self.gnx], [self.gny], [self.gnz]])
@@ -149,21 +151,9 @@ class LocalDomain:
         owner = c[0] + self.npx * (c[1] + self.npy * c[2])
         near = np.clip(loc[:, ext], 0, dims - 1)
         near = near[0] + self.lnx * (near[1] + self.lny * near[2])
-        order = np.lexsort((gid, owner))
-        return ext[order], gid[order], owner[order], near[order]
-
-    def neighbor_ranks(self):
-        """Ranks owning boxes adjacent to this one (face, edge or corner)."""
-        out = set()
-        for dz in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    if dx == dy == dz == 0:
-                        continue
-                    cx, cy, cz = self.ix + dx, self.iy + dy, self.iz + dz
-                    if 0 <= cx < self.npx and 0 <= cy < self.npy and 0 <= cz < self.npz:
-                        out.add(cx + self.npx * (cy + self.npy * cz))
-        return sorted(out)
+        shell = np.stack((ext, gid, owner, near))[:, np.lexsort((gid, owner))]
+        shell.flags.writeable = False   # one copy, shared by every caller
+        return shell
 
     def coarsen(self):
         """Halve every dimension; raises CoarseningError naming the odd axis."""

@@ -139,19 +139,17 @@ class SolveResult:
 def spmv(A, x, plan=None, world=None, rank=0, *, tally):
     """y = A @ x for a halo-tailed x; fixed per-row accumulation order.
 
-    With neighbors, rows without halo columns are computed while the halo
-    exchange is in flight and the rest once it lands.  Grouping rows never
-    changes a row's own accumulation order, so y is bitwise that of
-    ``exchange`` followed by a call without a world.
+    With neighbors, every row is computed while the halo exchange is in
+    flight and the rows with halo columns again, uncharged to ``tally``, once
+    it lands.  A row's accumulation order never changes, so y is bitwise
+    that of ``exchange`` followed by a call without a world.
     """
     with tally.timed("SpMV"):
         y = np.empty(A.n_rows, dtype=x.dtype)
         if world is not None and plan is not None and plan.neighbors:
-            (interior, _), (boundary, _) = A.sets.halo
-            exchange_overlapped(
-                x, plan, world, rank,
-                lambda: kernels.row_dot(interior, x, y))
-            kernels.row_dot(boundary, x, y)
+            exchange_overlapped(x, plan, world, rank,
+                                lambda: kernels.row_dot(A.sets.all, x, y))
+            kernels.row_dot(A.sets.halo[0], x, y)
         else:
             kernels.row_dot(A.sets.all, x, y)
     tally.add("spmv", A.dtype, nnz=A.nnz_total, n=A.n_rows)

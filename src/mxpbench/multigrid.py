@@ -62,7 +62,7 @@ def build_hierarchy(domain, levels, world=None, rank=0, strategy="greedy",
     """
     if levels < 1:
         raise ValueError("need at least one level")
-    if world is None and domain.neighbor_ranks():
+    if world is None and domain.shell.size:
         raise ValueError(f"rank {domain.rank} has neighbors but no world "
                          f"to exchange with")
     sweeps = sweeps or SmootherWorkspace()

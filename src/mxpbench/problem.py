@@ -11,7 +11,9 @@ accumulates its products in the same order no matter who owns the columns.
 The n x 27 arrays are stored column-major (Fortran order), so one slot of all
 rows, ``values[:, s]``, is contiguous: the SELL-style layout (Kreutzer et al.,
 SISC 2014) that the C row kernels of ``kernels`` walk slot by slot over a
-block of rows.  ``attach_sets`` packs row subsets in the same layout, once.
+block of rows.  Each level stores its rows once; ``attach_sets`` packs in
+the same layout, once, just the rows that read a halo slot, which an
+overlapped exchange recomputes, and the rows the next level injects from.
 
 ``col_idx`` is the one index array, held in the form the kernels read: int32,
 with each padding slot pointing at its own row (value 0.0).  Every entry lies
@@ -79,8 +81,8 @@ class KernelSets(NamedTuple):
 
     all: kernels.RowSet     # every row, in order
     relax: kernels.RowSet   # every row, one relax block per colour
-    halo: tuple     # (row_dot set, colour-0 relax set) of the rows without,
-                    # then with, halo columns; None without halo columns
+    halo: tuple     # (row_dot set, colour-0 relax set) of the rows with
+                    # halo columns, which an overlapped exchange recomputes
     restrict: tuple     # (f2c, row_dot set of rows f2c, their stored
                         # entries) for the next level; None on the coarsest
 
@@ -90,19 +92,16 @@ def attach_sets(matrices, color_offsets, f2c=None):
 
     ``matrices`` are the level's precision twins, which share ``col_idx``:
     each index pack is built once for all of them, each value pack and the
-    diagonal once per matrix.  ``color_offsets`` (intp) splits the rows into
-    colour blocks; ``f2c`` lists the rows the next level injects from.  A
-    zero diagonal raises SingularDiagonal.
+    diagonal once per matrix.  The only packs hold the rows with halo
+    columns and the rows ``f2c`` lists, which the next level injects from.
+    ``color_offsets`` (intp) splits the rows into colour blocks.  A zero
+    diagonal raises SingularDiagonal.
     """
     A0 = matrices[0]
     n = A0.n_rows
-    halo = []
-    if A0.n_cols_extended > n:
-        has_halo = A0.col_idx.max(axis=1) >= n      # no n x 27 temporary
-        halo = [(rows, take_rows(A0.col_idx, rows),
-                 int(np.searchsorted(rows, color_offsets[1])))
-                for rows in (np.flatnonzero(~has_halo),
-                             np.flatnonzero(has_halo))]
+    rows = np.flatnonzero(A0.col_idx.max(axis=1) >= n)  # no n x 27 temporary
+    cols = take_rows(A0.col_idx, rows)
+    below = int(np.searchsorted(rows, color_offsets[1]))
     if f2c is not None:
         f2c_cols = take_rows(A0.col_idx, f2c)
         f2c_nnz = int(A0.row_nnz[f2c].sum())
@@ -110,16 +109,13 @@ def attach_sets(matrices, color_offsets, f2c=None):
         diag = A.values[np.arange(n), A.diag_pos]
         if np.any(diag == 0):
             raise SingularDiagonal("zero diagonal entry in smoother input")
-        packs = []
-        for rows, cols, below in halo:
-            vals = take_rows(A.values, rows)
-            packs.append((kernels.row_set(vals, cols, len(rows), rows),
-                          kernels.relax_set(
-                              kernels.row_set(vals, cols, below, rows), diag)))
+        vals = take_rows(A.values, rows)
         everything = kernels.row_set(A.values, A.col_idx, n)
         A.sets = KernelSets(
             everything, kernels.relax_set(everything, diag, color_offsets),
-            tuple(packs) or None, None if f2c is None else (
+            (kernels.row_set(vals, cols, len(rows), rows), kernels.relax_set(
+                kernels.row_set(vals, cols, below, rows), diag)),
+            None if f2c is None else (
                 f2c, kernels.row_set(take_rows(A.values, f2c), f2c_cols,
                                      len(f2c)), f2c_nnz))
 
@@ -135,13 +131,13 @@ def generate_matrix(domain, perm=None):
     Row i is the point of natural local row ``perm[i]`` (x fastest; None
     keeps the natural order), and an owned column is numbered by its row.
     Columns owned by neighboring ranks get ``n_rows + slot``, their place in
-    ``domain.shell()``: owner rank ascending, then global id ascending.
+    ``domain.shell``: owner rank ascending, then global id ascending.
     The result equals ``coloring.permute_system`` of the natural-order
     matrix in every array, without building that matrix.
     """
     n = domain.n_rows
     ex, ey = domain.lnx + 2, domain.lny + 2
-    ext, shell_gid, _, _ = domain.shell()
+    ext, shell_gid, _, _ = domain.shell
     x, y, z = domain.coords() if perm is None else domain.coords()[:, perm]
     at = (x + 1) + ex * ((y + 1) + ey * (z + 1))   # in the extended box
     # Column of every extended-box point; -1 outside the global grid.

@@ -49,20 +49,20 @@ def forward_gs_sweep(A, r, z, plan=None, world=None, rank=0,
 
     ``z`` must carry the halo tail.  When ``z_is_zero`` the caller asserts the
     iterate (tail included) is all zero, so the halo exchange is skipped.
-    Otherwise, with neighbors, the first color's rows without halo columns
-    are updated while the halo messages are in flight and its other rows once
-    they land; the result is bitwise that of ``exchange`` followed by a sweep
-    without a world.  The sweep's time and work go to ``tally``.
+    Otherwise, with neighbors, the first color is relaxed while the halo
+    messages are in flight and its rows with halo columns again once they
+    land; they couple to no row of their color, so the result is bitwise that
+    of ``exchange`` followed by a sweep without a world.  The sweep's time
+    and work, without the recomputed rows, go to ``tally``.
     """
     with tally.timed("GS"):
         first = 0
         if z_is_zero:
             z[:] = 0
         elif world is not None and plan is not None and plan.neighbors:
-            (_, interior), (_, boundary) = A.sets.halo
             exchange_overlapped(z, plan, world, rank,
-                                lambda: kernels.relax(interior, r, z))
-            kernels.relax(boundary, r, z)
+                                lambda: kernels.relax(A.sets.relax, r, z))
+            kernels.relax(A.sets.halo[1], r, z)
             first = 1
         kernels.relax(A.sets.relax, r, z, first, A.sets.relax.n_blocks)
     tally.add("gs_sweep", A.dtype, nnz=A.nnz_total, n=A.n_rows)

@@ -5,15 +5,14 @@ from dataclasses import fields
 
 import numpy as np
 
-from mxpbench.coloring import (_jones_plassmann, _neighbors, color,
-                               permute_system)
+from mxpbench.coloring import _jones_plassmann, color, permute_system
 from mxpbench.geometry import GlobalProblem
 from mxpbench.problem import generate_matrix, generate_rhs
 
 from _oracles import (check_coloring, dense_stencil_3d, ell_to_dense,
                       greedy_color_dense, greedy_color_sequential,
                       identity_coloring, jpl_color_sequential,
-                      local_adjacency, local_pattern)
+                      local_adjacency, local_pattern, owned_neighbors)
 
 
 def _domain(nx, ny, nz, ranks=1, rank=0):
@@ -82,7 +81,7 @@ def test_jpl_weight_ties_go_to_the_higher_row():
     for A in [_stencil_matrix(4, 4, 4), _stencil_matrix(4, 6, 8)] \
             + [generate_matrix(d) for d in _rank_domains(8, 8)[:2]]:
         D = local_pattern(A)
-        got = _jones_plassmann(_neighbors(A), _ConstantRng())
+        got = _jones_plassmann(owned_neighbors(A), _ConstantRng())
         assert np.array_equal(got, greedy_color_dense(D[::-1, ::-1])[::-1])
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mxpbench import comm
+from mxpbench.coloring import color
 from mxpbench.comm import (ProtocolError, RankWorld, build_halo_plan,
                            exchange, exchange_overlapped)
 from mxpbench.geometry import GlobalProblem
@@ -14,9 +15,10 @@ from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
 from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import generate_matrix
+from mxpbench.smoother import forward_gs_sweep
 
 from _oracles import (local_index, local_to_global, oracle_cols, owner_rank,
-                      seq_spmv, with_sets)
+                      seq_gs_sweep, seq_spmv, with_sets)
 
 
 def test_all_reduce_sum_fixed_order():
@@ -298,6 +300,44 @@ def test_exchange_overlapped_matches_blocking():
         return True
 
     assert all(RankWorld(8).run(worker))
+
+
+@pytest.mark.parametrize("ranks", [2, 8])
+def test_overlapped_kernels_recompute_every_row_that_reads_the_halo(ranks):
+    # The overlapped work runs on the whole matrix while the halo tail is
+    # stale, here NaN: a row that reads a halo slot and is not recomputed
+    # once the halo lands keeps a NaN.
+    gp = GlobalProblem.from_local(4, 4, 4, ranks)
+
+    def worker(world, rank):
+        dom = gp.domain(rank)
+        c = color(dom, "greedy")
+        A = with_sets(generate_matrix(dom, c.perm), c)
+        plan = build_halo_plan(dom, iperm=c.iperm)
+        n = A.n_rows
+        rng = np.random.default_rng(60 + rank)
+        r = rng.standard_normal(n)
+        stale = np.full(A.n_cols_extended, np.nan)
+        stale[:n] = rng.standard_normal(n)
+        fresh = stale.copy()
+        exchange(fresh, plan, world, rank)
+        assert not np.isnan(fresh).any()
+
+        y_over = spmv(A, stale.copy(), plan, world, rank, tally=Tally())
+        y_block = spmv(A, fresh, tally=Tally())
+        y_ref, _ = seq_spmv(A.values, oracle_cols(A), fresh)
+
+        z_over = stale.copy()
+        forward_gs_sweep(A, r, z_over, plan, world, rank, tally=Tally())
+        z_block = fresh.copy()
+        forward_gs_sweep(A, r, z_block, tally=Tally())
+        z_ref = fresh.copy()
+        seq_gs_sweep(A.values, oracle_cols(A), A.diag_pos, r, z_ref)
+        return [a.tobytes() == b.tobytes()
+                for a, b in ((y_over, y_block), (y_block, y_ref),
+                             (z_over, z_block), (z_block, z_ref))]
+
+    assert RankWorld(ranks).run(worker) == [[True] * 4] * ranks
 
 
 def test_single_rank_plan_is_empty():

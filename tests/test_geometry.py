@@ -95,21 +95,26 @@ def test_local_to_global_is_x_fastest():
     assert local_to_global(d, 0, 0, 1) == 16
 
 
+def _neighbor_ranks(d):
+    """The ranks owning a point of d's shell, ascending."""
+    return sorted(set(d.shell[2].tolist()))
+
+
 def test_neighbor_counts():
     gp = GlobalProblem.from_local(4, 4, 4, 8)     # 2x2x2 rank grid
     for r in range(8):
-        assert len(gp.domain(r).neighbor_ranks()) == 7   # corner ranks
+        assert len(_neighbor_ranks(gp.domain(r))) == 7   # corner ranks
     gp27 = GlobalProblem.from_local(4, 4, 4, 27)  # 3x3x3 rank grid
-    assert len(gp27.domain(13).neighbor_ranks()) == 26   # interior rank
+    assert len(_neighbor_ranks(gp27.domain(13))) == 26   # interior rank
     corner = gp27.domain(0)
-    assert len(corner.neighbor_ranks()) == 7
+    assert len(_neighbor_ranks(corner)) == 7
     gp1 = GlobalProblem.from_local(4, 4, 4, 1)
-    assert gp1.domain(0).neighbor_ranks() == []
+    assert _neighbor_ranks(gp1.domain(0)) == []
 
 
 def test_neighbors_are_symmetric():
     gp = GlobalProblem.from_local(4, 4, 4, 12)
-    nbrs = {r: set(gp.domain(r).neighbor_ranks()) for r in range(12)}
+    nbrs = {r: set(_neighbor_ranks(gp.domain(r))) for r in range(12)}
     for r, ns in nbrs.items():
         assert r not in ns
         for q in ns:
@@ -173,8 +178,8 @@ def test_shell_lists_the_halo_in_slot_order():
                                        min(max(k, 0), d.lnz - 1))
                     want.append((owner_rank(d, g), g, ext, near))
         want.sort()
-        ext, gid, owner, near = d.shell()
+        ext, gid, owner, near = d.shell
         got = list(zip(owner.tolist(), gid.tolist(), ext.tolist(),
                        near.tolist()))
         assert got == want
-        assert sorted(set(owner.tolist())) == d.neighbor_ranks()
+        assert d.shell is d.shell     # computed once per domain

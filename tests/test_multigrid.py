@@ -52,7 +52,6 @@ def test_hierarchy_level_shapes():
 
 def test_greedy_set_up_assembles_each_level_once_in_colored_order(
         monkeypatch):
-    import mxpbench.coloring as coloring
     import mxpbench.multigrid as multigrid
 
     perms = []
@@ -63,7 +62,6 @@ def test_greedy_set_up_assembles_each_level_once_in_colored_order(
         return generate(dom, perm)
 
     monkeypatch.setattr(multigrid, "generate_matrix", recording)
-    monkeypatch.setattr(coloring, "generate_matrix", recording)
     h = _hierarchy(8, 8, 8, 3)
     # One matrix per level, no natural-order one: nothing to permute.
     assert len(perms) == len(h.levels)
@@ -130,7 +128,7 @@ def _held_arrays(obj):
 
 def _index_packs(sets):
     """The column and row arrays of every pack in ``sets``."""
-    packs = [dot for dot, _ in sets.halo]
+    packs = [sets.halo[0]]
     if sets.restrict is not None:
         packs.append(sets.restrict[1])
     return [a for p in packs for a in p.arrays[1:]]
@@ -166,6 +164,13 @@ def test_set_up_attaches_column_major_sets_sharing_index_packs():
                 # and no n x 27 index array
                 assert not any(a.dtype.kind in "iu"
                                and a.shape == A.col_idx.shape for a in beside)
+                # beside the diagonal, packed values only for the rows that
+                # read a halo slot and the rows the next level injects from
+                packed = {id(a): a.size for a in beside
+                          if a.dtype.kind == "f" and a.ndim == 2}
+                boundary = (A.col_idx >= A.n_rows).any(axis=1).sum()
+                injected = 0 if coarse is None else len(coarse.f2c)
+                assert sum(packed.values()) <= (boundary + injected) * 27
         return True
 
     assert _two_rank_hierarchy(worker) == [True, True]

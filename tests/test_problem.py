@@ -141,18 +141,15 @@ def test_kernel_sets_pack_the_rows_they_name():
         fine, coarse = h.levels
         color0 = fine.coloring.color_offsets[1]
         for A in (fine.A_hi, fine.A_lo):
-            n = A.n_rows
-            halo_rows = []
-            for (dot, relax0), with_halo in zip(A.sets.halo, (False, True),
-                                                strict=True):
-                vals, cols, rows = dot.arrays
-                assert np.array_equal(vals, A.values[rows])
-                assert np.array_equal(cols, A.col_idx[rows])
-                assert np.all((cols.max(axis=1) >= n) == with_halo)
-                assert relax0.args[0] == np.sum(rows < color0)
-                halo_rows.append(rows)
-            assert np.array_equal(np.sort(np.concatenate(halo_rows)),
-                                  np.arange(n))
+            # one pack: exactly the rows that read a halo slot, and its
+            # relax prefix is their colour-0 rows
+            dot, relax0 = A.sets.halo
+            vals, cols, rows = dot.arrays
+            assert np.array_equal(
+                rows, np.flatnonzero((A.col_idx >= A.n_rows).any(axis=1)))
+            assert np.array_equal(vals, A.values[rows])
+            assert np.array_equal(cols, A.col_idx[rows])
+            assert relax0.args[0] == np.sum(rows < color0)
             f2c, dot, nnz = A.sets.restrict
             vals, cols, _ = dot.arrays
             assert f2c is coarse.f2c
