@@ -20,7 +20,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -94,6 +96,8 @@ class BenchConfig:
                               f"{self.validation_mode!r}")
         if self.coloring not in COLORING_STRATEGIES:
             raise ConfigError(f"unknown coloring strategy {self.coloring!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be non-negative")
         if min(self.nu1, self.nu2, self.nu_c) < 1:
             raise ConfigError("smoothing sweep counts must be at least 1")
 
@@ -307,6 +311,16 @@ def dump_matrix(cfg, path):
 # -- CLI ----------------------------------------------------------------------
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError from writing ``path`` into a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="mxpbench",
@@ -336,7 +350,8 @@ def _build_parser():
     p.add_argument("--coloring", choices=COLORING_STRATEGIES,
                    default="greedy", help="coloring strategy")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized coloring (default 0)")
+                   help="seed for randomized coloring, at least 0 "
+                        "(default 0)")
     p.add_argument("--report-path", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
@@ -356,8 +371,13 @@ def main(argv=None):
     try:
         cfg.validate()
         if args.dump_matrix:
-            dump_matrix(cfg, args.dump_matrix)
+            with _writing(args.dump_matrix):
+                dump_matrix(cfg, args.dump_matrix)
         report = run_benchmark(cfg)
+        text = json.dumps(report, indent=2)
+        if args.report_path:
+            with _writing(args.report_path):
+                Path(args.report_path).write_text(text + "\n")
     except (ConfigError, CoarseningError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -368,10 +388,7 @@ def main(argv=None):
         print(f"protocol error: {exc}", file=sys.stderr)
         return 4
 
-    text = json.dumps(report, indent=2)
     if args.report_path:
-        with open(args.report_path, "w") as fh:
-            fh.write(text + "\n")
         s = report["summary"]
         print(f"penalized {s['penalized_gflops']:.3f} GFLOP/s "
               f"(penalty {s['penalty']:.3f}, speedup {s['speedup']:.2f}x); "

@@ -100,9 +100,10 @@ def permute_system(A, coloring):
     """The symmetric reordering P A P^T.
 
     Rows are gathered by perm into new column-major arrays; owned column ids,
-    padding's own-row ids among them, are relabeled through iperm.  The
-    entry order inside each row is untouched: entries are sorted by global
-    column id, and a symmetric relabeling does not change global ids.
+    padding's own-row ids among them, are relabeled through iperm, and the
+    owned columns' global ids follow their rows.  The entry order inside
+    each row is untouched: entries are sorted by global column id, and a
+    symmetric relabeling does not change global ids.
     """
     n = A.n_rows
     perm = coloring.perm
@@ -112,8 +113,8 @@ def permute_system(A, coloring):
     return EllMatrix(n_rows=n, width=A.width,
                      values=take_rows(A.values, perm),
                      col_idx=col_idx,
-                     col_global=take_rows(A.col_global, perm),
+                     col_gid=np.concatenate((A.col_gid[perm],
+                                             A.col_gid[n:])),
                      row_nnz=A.row_nnz[perm],
                      diag_pos=A.diag_pos[perm],
-                     nnz_total=A.nnz_total,
-                     n_cols_extended=A.n_cols_extended)
+                     nnz_total=A.nnz_total)

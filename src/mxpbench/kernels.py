@@ -1,9 +1,9 @@
 """The ELL row kernels in C, built on first import and called through ctypes.
 
 Two entry points per precision do every row accumulation of a solve:
-``row_dot`` (SpMV and the fused restriction) and ``relax`` (Gauss-Seidel,
-one packed row set or the colour blocks ``first..last-1``).  Their order
-of operations is fixed, so results are bitwise those of the sequential
+``row_dot`` (SpMV and the fused restriction) and ``relax`` (Gauss-Seidel
+over blocks ``first..last-1`` of a set that lists its block bounds).  Their
+order of operations is fixed, so results are bitwise those of the sequential
 oracles: every row adds ``v[s] * x[c[s]]`` for ascending slots s into an
 accumulator that starts at +0.0, and a relaxed block zeroes its rows of z
 before their products and then sets ``z = (r - acc) / d``.  Rows of one
@@ -72,8 +72,8 @@ void row_dot_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,      \
     }                                                                        \
 }                                                                            \
                                                                              \
-/* Relax blocks first..last-1; block k is set rows blocks[k]..blocks[k+1]-1, \
-   or all n set rows when blocks is NULL.  Rows of a block must not couple. */\
+/* Relax blocks first..last-1; block k is set rows blocks[k]..blocks[k+1]-1. \
+   Rows of a block must not couple. */                                       \
 void relax_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,        \
                  const int32_t *c, const intptr_t *rows, const T *d,         \
                  const intptr_t *blocks, intptr_t first, intptr_t last,      \
@@ -81,8 +81,8 @@ void relax_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,        \
 {                                                                            \
     T acc[CHUNK];                                                            \
     for (intptr_t k = first; k < last; k++) {                                \
-        intptr_t hi = blocks ? blocks[k + 1] : n;                            \
-        for (intptr_t lo = blocks ? blocks[k] : 0; lo < hi; lo += CHUNK) {   \
+        intptr_t hi = blocks[k + 1];                                         \
+        for (intptr_t lo = blocks[k]; lo < hi; lo += CHUNK) {                \
             intptr_t m = hi - lo < CHUNK ? hi - lo : CHUNK;                  \
             for (intptr_t i = lo; i < lo + m; i++)                           \
                 z[rows ? rows[i] : i] = 0;                                   \
@@ -176,8 +176,8 @@ class RowSet(NamedTuple):
     n_blocks: int = 0   # relax blocks; 0 for a ``row_dot`` set
 
 
-def row_set(vals, cols, n, out=None):
-    """The ``row_dot`` set of the first n rows of ``vals`` and ``cols``.
+def row_set(vals, cols, out=None):
+    """The ``row_dot`` set of every row of ``vals`` and ``cols``.
 
     ``vals`` and ``cols`` (int32) are column-major arrays of one shape;
     ``out`` lists the intp rows of the output that the set writes (None:
@@ -185,33 +185,33 @@ def row_set(vals, cols, n, out=None):
     """
     if cols.shape != vals.shape:
         raise ValueError(f"values {vals.shape} and columns {cols.shape} differ")
+    n = len(vals)
     read = written = 0
     if n:
-        read = int(cols[:n].max()) + 1
-        written = n if out is None else int(out[:n].max()) + 1
-        if cols[:n].min() < 0 or (out is not None and out[:n].min() < 0):
+        read = int(cols.max()) + 1
+        written = n if out is None else int(out.max()) + 1
+        if cols.min() < 0 or (out is not None and out.min() < 0):
             raise ValueError("a row set's columns and rows must be >= 0")
-    args = (n, vals.shape[1], vals.shape[0], _address(vals.T, vals.dtype),
+    args = (n, vals.shape[1], n, _address(vals.T, vals.dtype),
             _address(cols.T, np.int32), _address(out, np.intp))
     return RowSet(args, vals.dtype, read, written, (vals, cols, out))
 
 
-def relax_set(rows, diag, blocks=None):
+def relax_set(rows, diag, blocks):
     """The ``relax`` set of the ``row_set`` ``rows``, with its diagonal.
 
     ``blocks`` (intp) splits the set into blocks, set rows
-    ``blocks[k]..blocks[k+1]-1``; None makes the whole set one block.
+    ``blocks[k]..blocks[k+1]-1``.
     """
     n = rows.args[0]
     if len(diag) < rows.written:
         raise ValueError(f"diagonal of {len(diag)} rows for {rows.written}")
-    if blocks is not None and (blocks[0] < 0 or blocks[-1] > n
-                               or np.any(np.diff(blocks) < 0)):
+    if blocks[0] < 0 or blocks[-1] > n or np.any(np.diff(blocks) < 0):
         raise ValueError(f"blocks {blocks} do not split {n} rows")
     return RowSet(
         rows.args + (_address(diag, rows.dtype), _address(blocks, np.intp)),
         rows.dtype, max(rows.read, rows.written), rows.written,
-        rows.arrays + (diag, blocks), 1 if blocks is None else len(blocks) - 1)
+        rows.arrays + (diag, blocks), len(blocks) - 1)
 
 
 def _vector(a, dtype, size):

@@ -8,19 +8,22 @@ and the padding at the tail.  That slot order is fixed, and it is what makes
 kernel results independent of how the grid is split across ranks: every row
 accumulates its products in the same order no matter who owns the columns.
 
-The n x 27 arrays are stored column-major (Fortran order), so one slot of all
-rows, ``values[:, s]``, is contiguous: the SELL-style layout (Kreutzer et al.,
-SISC 2014) that the C row kernels of ``kernels`` walk slot by slot over a
-block of rows.  Each level stores its rows once; ``attach_sets`` packs in
-the same layout, once, just the rows that read a halo slot, which an
-overlapped exchange recomputes, and the rows the next level injects from.
+What a level stores per precision is two n x 27 arrays, ``values`` and the
+int32 ``col_idx``, both column-major (Fortran order): slot s of every row,
+``values[:, s]``, is one contiguous column of length n.  That is ELL, or
+SELL-C-sigma (Kreutzer et al., SISC 2014) with one chunk of C = n rows, not
+chunked; the C row kernels of ``kernels`` walk it slot by slot over a block
+of rows.  Each level stores its rows once; ``attach_sets`` packs in the same
+layout, once, just the rows that read a halo slot, which an overlapped
+exchange recomputes, and the rows the next level injects from.
 
-``col_idx`` is the one index array, held in the form the kernels read: int32,
-with each padding slot pointing at its own row (value 0.0).  Every entry lies
-in ``[0, n_cols_extended)`` from generation on: a column owned by another
-rank holds its halo slot, which the grid alone decides
+``col_idx`` is the one per-entry index array, held in the form the kernels
+read, with each padding slot pointing at its own row (value 0.0).  Every
+entry lies in ``[0, n_cols_extended)`` from generation on: a column owned by
+another rank holds its halo slot, which the grid alone decides
 (``LocalDomain.shell``).  A padding product is a signed zero, and adding it
-to an accumulator that starts at +0.0 changes no bit.
+to an accumulator that starts at +0.0 changes no bit.  Global ids are held
+once per column of the halo-tailed vector (``col_gid``), not per entry.
 """
 
 from __future__ import annotations
@@ -49,13 +52,14 @@ class SingularDiagonal(Exception):
 class EllMatrix:
     """Padded fixed-width sparse rows; no row-pointer array.
 
-    ``values``, ``col_idx`` and ``col_global`` are n x width and column-major,
+    ``values`` and ``col_idx`` are the only n x width arrays, column-major,
     slot s of every row contiguous; slot order within a row is ascending
     global column and never changes.  ``col_idx`` (int32) holds local row
     indices for owned columns and halo slot indices (n_rows and up) for
     neighbor-owned columns.  A padding slot (s >= row_nnz[i]) holds value
     0.0 and column i, so every kernel reads ``col_idx`` as it is.
-    ``col_global`` keeps the global ids of all entries, -1 for padding.
+    ``col_gid`` (int64) holds the global id of each column of the
+    halo-tailed vector: the owned rows in stored order, then the halo slots.
     ``diag_pos[i]`` is the position of the diagonal within row i.  ``sets``
     holds the kernel row sets, ``KernelSets``, once ``attach_sets`` has run.
     """
@@ -64,16 +68,26 @@ class EllMatrix:
     width: int
     values: np.ndarray
     col_idx: np.ndarray
-    col_global: np.ndarray
+    col_gid: np.ndarray
     row_nnz: np.ndarray
     diag_pos: np.ndarray
     nnz_total: int
-    n_cols_extended: int
     sets: object = field(default=None, repr=False)
 
     @property
     def dtype(self):
         return self.values.dtype
+
+    @property
+    def n_cols_extended(self):
+        """Length of the halo-tailed vector: owned rows, then halo slots."""
+        return len(self.col_gid)
+
+    @property
+    def col_global(self):
+        """n x width global ids of the entries, derived from ``col_idx``; a
+        padding slot reads its own row's id, as its ``col_idx`` names it."""
+        return self.col_gid[self.col_idx]
 
 
 class KernelSets(NamedTuple):
@@ -81,8 +95,9 @@ class KernelSets(NamedTuple):
 
     all: kernels.RowSet     # every row, in order
     relax: kernels.RowSet   # every row, one relax block per colour
-    halo: tuple     # (row_dot set, colour-0 relax set) of the rows with
-                    # halo columns, which an overlapped exchange recomputes
+    halo: tuple     # (row_dot set, relax set) of the rows with halo
+                    # columns, which an overlapped exchange recomputes; the
+                    # relax set's one block is their colour-0 rows
     restrict: tuple     # (f2c, row_dot set of rows f2c, their stored
                         # entries) for the next level; None on the coarsest
 
@@ -109,15 +124,15 @@ def attach_sets(matrices, color_offsets, f2c=None):
         diag = A.values[np.arange(n), A.diag_pos]
         if np.any(diag == 0):
             raise SingularDiagonal("zero diagonal entry in smoother input")
-        vals = take_rows(A.values, rows)
-        everything = kernels.row_set(A.values, A.col_idx, n)
+        everything = kernels.row_set(A.values, A.col_idx)
+        halo = kernels.row_set(take_rows(A.values, rows), cols, rows)
         A.sets = KernelSets(
             everything, kernels.relax_set(everything, diag, color_offsets),
-            (kernels.row_set(vals, cols, len(rows), rows), kernels.relax_set(
-                kernels.row_set(vals, cols, below, rows), diag)),
+            (halo, kernels.relax_set(halo, diag,
+                                     np.array([0, below], dtype=np.intp))),
             None if f2c is None else (
-                f2c, kernels.row_set(take_rows(A.values, f2c), f2c_cols,
-                                     len(f2c)), f2c_nnz))
+                f2c, kernels.row_set(take_rows(A.values, f2c), f2c_cols),
+                f2c_nnz))
 
 
 def take_rows(a, rows):
@@ -144,7 +159,7 @@ def generate_matrix(domain, perm=None):
     col_of = np.full(ex * ey * (domain.lnz + 2), -1, dtype=np.int32)
     col_of[at] = np.arange(n)
     col_of[ext] = np.arange(n, n + len(ext))
-    gid_of = np.concatenate((
+    col_gid = np.concatenate((
         (x + domain.ox) + domain.gnx * ((y + domain.oy)
                                         + domain.gny * (z + domain.oz)),
         shell_gid))
@@ -152,7 +167,6 @@ def generate_matrix(domain, perm=None):
     # Column-major from the start; unfilled slots stay padding (0.0, own row).
     vals = np.zeros((n, STENCIL_WIDTH), order="F")
     cols = np.tile(np.arange(n, dtype=np.int32), (STENCIL_WIDTH, 1)).T
-    colg = np.full((n, STENCIL_WIDTH), -1, dtype=np.int64, order="F")
     row_nnz = np.zeros(n, dtype=np.int32)
 
     # Offsets ascend in global index, so appending each valid neighbor at
@@ -166,12 +180,11 @@ def generate_matrix(domain, perm=None):
             diag_pos = slot
         vals[rows, slot] = 26.0 if k == _SELF_POS else -1.0
         cols[rows, slot] = col
-        colg[rows, slot] = gid_of[col]
         row_nnz[rows] += 1
 
     return EllMatrix(n_rows=n, width=STENCIL_WIDTH, values=vals, col_idx=cols,
-                     col_global=colg, row_nnz=row_nnz, diag_pos=diag_pos,
-                     nnz_total=int(row_nnz.sum()), n_cols_extended=n + len(ext))
+                     col_gid=col_gid, row_nnz=row_nnz, diag_pos=diag_pos,
+                     nnz_total=int(row_nnz.sum()))
 
 
 @dataclass
@@ -193,8 +206,9 @@ def to_low_precision(A):
     """Single-precision copy of A sharing every other field but ``sets``.
 
     The entry values 26 and -1 are exact in binary32, so only the value array
-    narrows; indices, counts and diagonal positions are shared by reference.
-    The copy has no kernel sets until ``attach_sets`` builds them.
+    narrows; indices, global ids, counts and diagonal positions are shared
+    by reference.  The copy has no kernel sets until ``attach_sets`` builds
+    them.
     """
     return replace(A, values=A.values.astype(np.float32), sets=None)
 

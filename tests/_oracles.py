@@ -94,7 +94,7 @@ def row_dot(vals, cols, x):
     vals = np.asfortranarray(vals, dtype=x.dtype)
     cols = np.asfortranarray(cols, dtype=np.int32)
     y = np.empty(len(vals), dtype=x.dtype)
-    kernels.row_dot(kernels.row_set(vals, cols, len(vals)), x, y)
+    kernels.row_dot(kernels.row_set(vals, cols), x, y)
     return y
 
 
@@ -432,7 +432,6 @@ def ell_from_dense(D):
     width = int(max((D[i] != 0).sum() for i in range(n)))
     values = np.zeros((n, width), order="F")
     col_idx = np.tile(np.arange(n, dtype=np.int32), (width, 1)).T
-    col_global = np.full((n, width), -1, dtype=np.int64, order="F")
     row_nnz = np.zeros(n, dtype=np.int32)
     diag_pos = np.zeros(n, dtype=np.int32)
     for i in range(n):
@@ -441,10 +440,8 @@ def ell_from_dense(D):
         for s, c in enumerate(cols):
             values[i, s] = D[i, c]
             col_idx[i, s] = c
-            col_global[i, s] = c
             if c == i:
                 diag_pos[i] = s
     return EllMatrix(n_rows=n, width=width, values=values, col_idx=col_idx,
-                     col_global=col_global, row_nnz=row_nnz,
-                     diag_pos=diag_pos, nnz_total=int(row_nnz.sum()),
-                     n_cols_extended=n)
+                     col_gid=np.arange(n), row_nnz=row_nnz,
+                     diag_pos=diag_pos, nnz_total=int(row_nnz.sum()))

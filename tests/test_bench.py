@@ -58,6 +58,7 @@ def _override_id(overrides):
     {"time_seconds": -1.0},
     {"validation_mode": "turbo"},
     {"coloring": "rainbow"},
+    {"seed": -1},                # np.random.default_rng refuses it
     {"nu1": 0},
     {"nu2": 0},
     {"nu_c": 0},
@@ -306,6 +307,22 @@ def test_cli_rejects_bad_geometry(capsys):
 def test_cli_rejects_tol_outside_unit_interval(capsys):
     assert main(_cli("--tol", "2")) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed(capsys):
+    assert main(_cli("--coloring", "jpl", "--seed", "-1")) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--dump-matrix", "--report-path"])
+def test_cli_unwritable_output_is_a_configuration_error(tmp_path, capsys,
+                                                        flag):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(_cli(flag, str(path))) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"configuration error: cannot write {path}: ")
+    assert "\n" not in err and "Traceback" not in err
+    assert not path.parent.exists()
 
 
 def test_cli_validation_failure_exit_code(monkeypatch, capsys):

@@ -127,16 +127,16 @@ def _pattern(n=4, width=3):
 
 def test_row_set_refuses_a_negative_column():
     vals, cols = _pattern()
-    kernels.row_set(vals, cols, 4)
+    kernels.row_set(vals, cols)
     cols[2, 1] = -1
     with pytest.raises(ValueError, match=">= 0"):
-        kernels.row_set(vals, cols, 4)
+        kernels.row_set(vals, cols)
 
 
 def test_row_set_refuses_a_negative_output_row():
     vals, cols = _pattern()
     out = np.arange(4, dtype=np.intp)
-    kernels.row_set(vals, cols, 4, out)
+    kernels.row_set(vals, cols, out)
     out[3] = -2
     with pytest.raises(ValueError, match=">= 0"):
-        kernels.row_set(vals, cols, 4, out)
+        kernels.row_set(vals, cols, out)

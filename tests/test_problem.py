@@ -1,5 +1,7 @@
 """ELL stencil assembly, right-hand side, precision copies, export."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_low_precision_copy_shares_structure():
     assert L.values.dtype == np.float32
     assert np.array_equal(L.values.astype(np.float64), A.values)  # exact
     assert L.col_idx is A.col_idx
-    assert L.col_global is A.col_global
+    assert L.col_gid is A.col_gid
     assert L.row_nnz is A.row_nnz
     assert L.diag_pos is A.diag_pos
     assert L.sets is None       # float64 row sets would refuse its vectors
@@ -133,6 +135,50 @@ def test_every_level_indexes_in_range_and_pads_with_its_own_row():
     assert RankWorld(2).run(worker) == [3, 3]
 
 
+def _stencil_gids(dom, perm):
+    """Each stored row's global id, and the ascending global ids of its
+    in-grid 3x3x3 neighbours (itself included; -1 past its count), from grid
+    coordinates alone."""
+    g = dom.coords()[:, perm] + np.array([[dom.ox], [dom.oy], [dom.oz]])
+    gdims = np.array([[dom.gnx], [dom.gny], [dom.gnz]])
+    steps = np.indices((3, 3, 3)).reshape(3, -1) - 1
+    nb = g[:, :, None] + steps[:, None, :]            # 3 x n x 27
+    inside = ((nb >= 0) & (nb < gdims[:, :, None])).all(axis=0)
+    ids = np.where(inside, nb[0] + dom.gnx * (nb[1] + dom.gny * nb[2]),
+                   np.iinfo(np.int64).max)
+    ids = np.sort(ids, axis=1)
+    ids[np.arange(27) >= inside.sum(axis=1)[:, None]] = -1
+    return g[0] + dom.gnx * (g[1] + dom.gny * g[2]), ids
+
+
+@pytest.mark.parametrize("ranks", [2, 8])
+def test_levels_store_two_entry_arrays_and_derive_global_ids(ranks):
+    # Only values and col_idx hold one entry per slot; col_global, derived
+    # from the per-column ids, names every row's stencil neighbours from
+    # the grid, and a padding slot names the row itself.
+    gp = GlobalProblem.from_local(4, 4, 4, ranks)
+
+    def worker(world, rank):
+        h = build_hierarchy(gp.domain(rank), 3, world, rank)
+        for lv in h.levels:
+            own, want = _stencil_gids(lv.domain, lv.coloring.perm)
+            for A in (lv.A_hi, lv.A_lo):
+                n, width = A.n_rows, A.width
+                big = {f.name for f in fields(A)
+                       if isinstance(getattr(A, f.name), np.ndarray)
+                       and getattr(A, f.name).size == n * width}
+                assert big == {"values", "col_idx"}
+                assert A.n_cols_extended == len(A.col_gid)
+                pad = padding_mask(A)
+                assert np.array_equal(np.where(pad, -1, A.col_global), want)
+                assert np.array_equal(
+                    A.col_global[pad], np.broadcast_to(own[:, None],
+                                                       pad.shape)[pad])
+        return len(h.levels)
+
+    assert RankWorld(ranks).run(worker) == [3] * ranks
+
+
 def test_kernel_sets_pack_the_rows_they_name():
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
@@ -142,14 +188,16 @@ def test_kernel_sets_pack_the_rows_they_name():
         color0 = fine.coloring.color_offsets[1]
         for A in (fine.A_hi, fine.A_lo):
             # one pack: exactly the rows that read a halo slot, and its
-            # relax prefix is their colour-0 rows
+            # relax set's one block is their colour-0 rows
             dot, relax0 = A.sets.halo
             vals, cols, rows = dot.arrays
             assert np.array_equal(
                 rows, np.flatnonzero((A.col_idx >= A.n_rows).any(axis=1)))
             assert np.array_equal(vals, A.values[rows])
             assert np.array_equal(cols, A.col_idx[rows])
-            assert relax0.args[0] == np.sum(rows < color0)
+            assert all(a is b for a, b in zip(relax0.arrays, dot.arrays))
+            assert relax0.n_blocks == 1
+            assert list(relax0.arrays[-1]) == [0, np.sum(rows < color0)]
             f2c, dot, nnz = A.sets.restrict
             vals, cols, _ = dot.arrays
             assert f2c is coarse.f2c
