@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -45,6 +46,7 @@ class ValidationError(Exception):
 
 VALIDATION_MODES = ("standard", "fullscale")
 COLORING_STRATEGIES = ("greedy", "jpl")
+MAX_RANKS = 512   # RankWorld(n) makes n * (n - 1) mailboxes: 107 MB at 512
 
 
 @dataclass
@@ -81,8 +83,9 @@ class BenchConfig:
                 raise ConfigError(
                     f"{name} = {dim} is not divisible by {q} "
                     f"(needed for {self.mg_levels} grid levels)")
-        if self.ranks < 1:
-            raise ConfigError("ranks must be at least 1")
+        if not 1 <= self.ranks <= MAX_RANKS:
+            raise ConfigError(f"ranks = {self.ranks} must lie in "
+                              f"[1, {MAX_RANKS}]")
         if self.restart < 1:
             raise ConfigError("restart length must be at least 1")
         if not 0 < self.tol < 1:
@@ -311,6 +314,15 @@ def dump_matrix(cfg, path):
 # -- CLI ----------------------------------------------------------------------
 
 
+def _check_writable(path):
+    """Raise ConfigError unless ``path`` could be written: it is not a
+    directory, and its directory exists and is writable.  Creates nothing."""
+    p = Path(path)
+    if p.is_dir() or not os.access(p.parent, os.W_OK):
+        raise ConfigError(f"cannot write {path}: not a file in an existing, "
+                          f"writable directory")
+
+
 @contextmanager
 def _writing(path):
     """Turn an OSError from writing ``path`` into a ConfigError naming it."""
@@ -336,7 +348,8 @@ def _build_parser():
     p.add_argument("--local-nz", type=int, default=16,
                    help="local grid points in z per rank (default 16)")
     p.add_argument("--ranks", type=int, default=1,
-                   help="number of simulated ranks (default 1)")
+                   help=f"number of simulated ranks, at most {MAX_RANKS} "
+                        f"(default 1)")
     p.add_argument("--restart", type=int, default=30,
                    help="GMRES restart length (default 30)")
     p.add_argument("--tol", type=float, default=1e-9,
@@ -370,6 +383,8 @@ def main(argv=None):
                       coloring=args.coloring, seed=args.seed)
     try:
         cfg.validate()
+        if args.report_path:
+            _check_writable(args.report_path)
         if args.dump_matrix:
             with _writing(args.dump_matrix):
                 dump_matrix(cfg, args.dump_matrix)

@@ -13,7 +13,8 @@ ProtocolError rather than a hang or silent corruption: every message carries
 its pair's sequence number and the kind of operation that sent it, so a rank
 that receives a different kind than it waits for raises at once; a rank left
 waiting for a message the others never send raises once ``_RECV_TIMEOUT``
-has passed.
+has passed.  A rank that fails posts an abort marker into every mailbox, so
+a rank waiting for any message stops at once rather than at the timeout.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class _Aborted(ProtocolError):
     """A rank stopped waiting because another rank failed first."""
 
 
-_RECV_POLL = 0.05
 _RECV_TIMEOUT = 300.0
+_ABORT = object()   # the abort marker, posted in place of a message
 
 
 class RankWorld:
@@ -48,7 +49,6 @@ class RankWorld:
                        for s in range(nranks) for d in range(nranks) if s != d}
         self._send_seq = {pair: 0 for pair in self._boxes}
         self._recv_seq = {pair: 0 for pair in self._boxes}
-        self._abort = threading.Event()
 
     # -- point to point ----------------------------------------------------
 
@@ -61,19 +61,15 @@ class RankWorld:
         """Wait for the next message on (src -> dst); it must be ``kind``."""
         expected = self._recv_seq[(src, dst)]
         self._recv_seq[(src, dst)] = expected + 1
-        waited = 0.0
-        while True:
-            try:
-                seq, got, payload = self._boxes[(src, dst)].get(timeout=_RECV_POLL)
-                break
-            except queue.Empty:
-                if self._abort.is_set():
-                    raise _Aborted("world aborted while waiting for a message") from None
-                waited += _RECV_POLL
-                if waited >= _RECV_TIMEOUT:
-                    raise ProtocolError(
-                        f"rank {dst} timed out after {_RECV_TIMEOUT:g} s waiting "
-                        f"for {kind!r} from rank {src}") from None
+        try:
+            msg = self._boxes[(src, dst)].get(timeout=_RECV_TIMEOUT)
+        except queue.Empty:
+            raise ProtocolError(
+                f"rank {dst} timed out after {_RECV_TIMEOUT:g} s waiting "
+                f"for {kind!r} from rank {src}") from None
+        if msg is _ABORT:
+            raise _Aborted("world aborted while waiting for a message")
+        seq, got, payload = msg
         if seq != expected:
             raise ProtocolError(
                 f"message reorder on pair ({src}->{dst}): got {seq}, expected {expected}")
@@ -130,7 +126,9 @@ class RankWorld:
                 results[rank] = fn(self, rank, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 errors[rank] = exc
-                self._abort.set()
+                if not isinstance(exc, _Aborted):   # markers already posted
+                    for box in self._boxes.values():
+                        box.put(_ABORT)
 
         threads = [threading.Thread(target=work, args=(r,), name=f"rank-{r}")
                    for r in range(self.nranks)]
@@ -161,7 +159,7 @@ class HaloPlan:
     recv_slices: dict = field(default_factory=dict)
 
 
-def build_halo_plan(domain, iperm=None):
+def build_halo_plan(domain, iperm):
     """The exchange plan of ``domain``, from grid arithmetic alone.
 
     The halo is the box's one-point shell (``domain.shell``), whose slot
@@ -172,8 +170,7 @@ def build_halo_plan(domain, iperm=None):
     """
     n = domain.n_rows
     _, _, owner, near = domain.shell
-    if iperm is not None:
-        near = iperm[near]
+    near = iperm[near]
     neighbors, counts = np.unique(owner, return_counts=True)
     ends = np.cumsum(counts).tolist()
     plan = HaloPlan(neighbors=neighbors.tolist())

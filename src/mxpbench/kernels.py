@@ -2,8 +2,9 @@
 
 Two entry points per precision do every row accumulation of a solve:
 ``row_dot`` (SpMV and the fused restriction) and ``relax`` (Gauss-Seidel
-over blocks ``first..last-1`` of a set that lists its block bounds).  Their
-order of operations is fixed, so results are bitwise those of the sequential
+over blocks ``first..last-1`` of a set that lists its block bounds).  A set
+of n rows is column-major: slot s of its row i is entry s*n + i.  The order
+of operations is fixed, so results are bitwise those of the sequential
 oracles: every row adds ``v[s] * x[c[s]]`` for ascending slots s into an
 accumulator that starts at +0.0, and a relaxed block zeroes its rows of z
 before their products and then sets ``z = (r - acc) / d``.  Rows of one
@@ -43,16 +44,16 @@ SOURCE = r"""
 #define CHUNK 256
 
 #define ROW_KERNELS(T, SUF)                                                  \
-/* acc[i] = sum over slots s of v[s*ld + i] * x[c[s*ld + i]], from +0.0 */   \
-static void accumulate_##SUF(intptr_t m, intptr_t width, intptr_t ld,        \
+/* acc[i] = sum of v[s*n + i] * x[c[s*n + i]] over slots s, from +0.0 */     \
+static void accumulate_##SUF(intptr_t m, intptr_t width, intptr_t n,         \
                              const T *v, const int32_t *c, const T *x,       \
                              T *acc)                                         \
 {                                                                            \
     for (intptr_t i = 0; i < m; i++)                                         \
         acc[i] = 0;                                                          \
     for (intptr_t s = 0; s < width; s++) {                                   \
-        const T *vs = v + s * ld;                                            \
-        const int32_t *cs = c + s * ld;                                      \
+        const T *vs = v + s * n;                                             \
+        const int32_t *cs = c + s * n;                                       \
         for (intptr_t i = 0; i < m; i++)                                     \
             acc[i] = acc[i] + vs[i] * x[cs[i]];                              \
     }                                                                        \
@@ -60,13 +61,13 @@ static void accumulate_##SUF(intptr_t m, intptr_t width, intptr_t ld,        \
                                                                              \
 /* y[row] = the row's sum for the set rows 0..n-1; row = rows[i], or i when  \
    rows is NULL. */                                                          \
-void row_dot_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,      \
-                   const int32_t *c, const intptr_t *rows, const T *x, T *y) \
+void row_dot_##SUF(intptr_t n, intptr_t width, const T *v, const int32_t *c, \
+                   const intptr_t *rows, const T *x, T *y)                   \
 {                                                                            \
     T acc[CHUNK];                                                            \
     for (intptr_t lo = 0; lo < n; lo += CHUNK) {                             \
         intptr_t m = n - lo < CHUNK ? n - lo : CHUNK;                        \
-        accumulate_##SUF(m, width, ld, v + lo, c + lo, x, acc);              \
+        accumulate_##SUF(m, width, n, v + lo, c + lo, x, acc);               \
         for (intptr_t i = 0; i < m; i++)                                     \
             y[rows ? rows[lo + i] : lo + i] = acc[i];                        \
     }                                                                        \
@@ -74,8 +75,8 @@ void row_dot_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,      \
                                                                              \
 /* Relax blocks first..last-1; block k is set rows blocks[k]..blocks[k+1]-1. \
    Rows of a block must not couple. */                                       \
-void relax_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,        \
-                 const int32_t *c, const intptr_t *rows, const T *d,         \
+void relax_##SUF(intptr_t n, intptr_t width, const T *v, const int32_t *c,   \
+                 const intptr_t *rows, const T *d,                           \
                  const intptr_t *blocks, intptr_t first, intptr_t last,      \
                  const T *r, T *z)                                           \
 {                                                                            \
@@ -86,7 +87,7 @@ void relax_##SUF(intptr_t n, intptr_t width, intptr_t ld, const T *v,        \
             intptr_t m = hi - lo < CHUNK ? hi - lo : CHUNK;                  \
             for (intptr_t i = lo; i < lo + m; i++)                           \
                 z[rows ? rows[i] : i] = 0;                                   \
-            accumulate_##SUF(m, width, ld, v + lo, c + lo, z, acc);          \
+            accumulate_##SUF(m, width, n, v + lo, c + lo, z, acc);           \
             for (intptr_t i = 0; i < m; i++) {                               \
                 intptr_t row = rows ? rows[lo + i] : lo + i;                 \
                 z[row] = (r[row] - acc[i]) / d[row];                         \
@@ -149,8 +150,8 @@ def _entries(name, argtypes):
     return out
 
 
-_ROW_DOT = _entries("row_dot", [_N, _N, _N, _P, _P, _P, _P, _P])
-_RELAX = _entries("relax", [_N, _N, _N, _P, _P, _P, _P, _P, _N, _N, _P, _P])
+_ROW_DOT = _entries("row_dot", [_N, _N, _P, _P, _P, _P, _P])
+_RELAX = _entries("relax", [_N, _N, _P, _P, _P, _P, _P, _N, _N, _P, _P])
 _buffer = (ctypes.c_char * 0).from_buffer   # raises unless contiguous, writable
 
 
@@ -192,7 +193,7 @@ def row_set(vals, cols, out=None):
         written = n if out is None else int(out.max()) + 1
         if cols.min() < 0 or (out is not None and out.min() < 0):
             raise ValueError("a row set's columns and rows must be >= 0")
-    args = (n, vals.shape[1], n, _address(vals.T, vals.dtype),
+    args = (n, vals.shape[1], _address(vals.T, vals.dtype),
             _address(cols.T, np.int32), _address(out, np.intp))
     return RowSet(args, vals.dtype, read, written, (vals, cols, out))
 

@@ -163,15 +163,14 @@ def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, *, tally,
     Each pass projects (one reduced transposed product), subtracts, and
     accumulates the coefficients into H[:k+1, k].  With a ``recycle`` pair
     the same product and reduction also cover its kept rows: the pass
-    subtracts C C^T w and adds C^T w to ``recycle.B[:, k]``.  Returns the
-    summed basis coefficients; w is deflated in place.
+    subtracts C C^T w and adds C^T w to ``recycle.B[:, k]``.  w is deflated
+    in place.
     """
     kb = k + 1
     n = Q.shape[1]
     nv = 0 if recycle is None else recycle.nv
     rows = Q[:kb] if recycle is None else recycle.block[:nv + kb]
     with tally.timed("Ortho"):
-        h_total = np.zeros(kb, dtype=Q.dtype)
         for _ in range(2):
             g = reduce_sum(world, rank, rows @ w)
             h = g[nv:]
@@ -181,9 +180,7 @@ def cgs2_orthogonalize(Q, k, w, H, world=None, rank=0, *, tally,
                 g = np.concatenate([gv.astype(Q.dtype), h])
             w -= rows.T @ g
             H[:kb, k] += h
-            h_total += h
     tally.add("cgs2", Q.dtype, n=n, k=nv + kb)
-    return h_total
 
 
 def givens_update(H, t, c, s, k):
@@ -240,7 +237,7 @@ def _assert_replicated(world, rank, ws):
         raise ProtocolError(f"replicated solver state diverged: {digests}")
 
 
-def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
+def gmres_solve(A_hi, A_lo, precond, b, x0, mode="double", tol=1e-9,
                 max_iters=300, m=30, plan=None, world=None, rank=0, *,
                 tally, debug_replication=False):
     """Right-preconditioned restarted GMRES; restarts double as refinement steps.
@@ -258,9 +255,10 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     stalls keep that first pair.  Double mode never stalls, so its
     arithmetic is plain restarted GMRES.
     ``precond`` maps a residual-shaped vector to a correction in the vector's
-    own precision; every kernel charges ``tally``.  A zero ``b`` zeroes
-    ``x0`` and returns at once.  Returns a SolveResult whose
-    ``boundary_pairs`` hold (recurrence norm, true norm) at each restart.
+    own precision; every kernel charges ``tally``.  ``x0`` holds the
+    initial guess and receives the solution; a zero ``b`` zeroes it and
+    returns at once.  Returns a SolveResult whose ``boundary_pairs`` hold
+    (recurrence norm, true norm) at each restart.
     """
     if mode not in ("double", "mixed"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -275,8 +273,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     # by 5 MB).
     ws = GmresWorkspace.allocate(n, m, dtype, spare=m + 1 if mixed else 0)
     x_t = np.zeros(A_hi.n_cols_extended)
-    if x0 is not None:
-        x_t[:n] = x0
+    x_t[:n] = x0
     z_t = np.zeros(A_in.n_cols_extended, dtype=dtype)
 
     def true_residual():
@@ -293,8 +290,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
     tally.add("norm", np.float64, n=n)
     if rho0 == 0.0:
         # A is nonsingular, so x = 0 is the solution.
-        if x0 is not None:
-            x0[:] = 0
+        x0[:] = 0
         return SolveResult(0, 0, 0.0, True)
 
     total = 0
@@ -403,8 +399,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0=None, mode="double", tol=1e-9,
             converged = relres < tol
             break
 
-    if x0 is not None:
-        x0[:] = x_t[:n]
+    x0[:] = x_t[:n]
     return SolveResult(iterations=total, restarts=cycles, relres=relres,
                        converged=converged, boundary_pairs=pairs)
 

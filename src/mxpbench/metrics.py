@@ -7,11 +7,9 @@ nnz = stored nonzeros, n_c = coarse rows):
     spmv            2*nnz                     gs_sweep      2*nnz
     dot             2*n                       norm          2*n
     scale           n                         vsub / vadd   n
-    waxpby          3*n
     cgs2            8*n*k + 2*n   (two projection passes, two corrections)
     gemv_update     2*n*k         (basis combination at a cycle end)
     restrict_fused  2*nnz + n_c   (nnz over the injected rows only)
-    restrict_inject 0             (pure copy)
     prolong_add     n_c
 
 With a GMRES recycle pair, k counts its kept rows too: in ``cgs2`` (the
@@ -60,9 +58,6 @@ _KERNELS = {
     "vadd": ("Vector ops",
              lambda n: n,
              lambda w, n: 3 * n * w),
-    "waxpby": ("Vector ops",
-               lambda n: 3 * n,
-               lambda w, n: 3 * n * w),
     "cgs2": ("Ortho",
              lambda n, k: 8 * n * k + 2 * n,
              lambda w, n, k: 4 * n * k * w + 4 * n * w),
@@ -72,9 +67,6 @@ _KERNELS = {
     "restrict_fused": ("Restriction",
                        lambda nnz, n_c: 2 * nnz + n_c,
                        lambda w, nnz, n_c: nnz * (2 * w + 4) + 2 * n_c * w),
-    "restrict_inject": ("Restriction",
-                        lambda n_c: 0,
-                        lambda w, n_c: 2 * n_c * w),
     "prolong_add": ("Prolongation",
                     lambda n_c: n_c,
                     lambda w, n_c: 3 * n_c * w),

@@ -63,8 +63,9 @@ def _desk_solve(mode, tol=1e-9, m=30, max_iters=300):
     def precond(r):
         return hier.apply(r, tally)
 
-    return gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode, tol=tol,
-                       m=m, max_iters=max_iters, tally=tally)
+    return gmres_solve(lv.A_hi, lv.A_lo, precond, b, np.zeros(len(b)),
+                       mode=mode, tol=tol, m=m, max_iters=max_iters,
+                       tally=tally)
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -339,8 +340,8 @@ def test_criterion_8_determinism_and_replication():
 
         out = []
         for mode in ("double", "mixed"):
-            res = gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode,
-                              tol=1e-9, m=rcfg.restart, plan=lv.plan,
+            res = gmres_solve(lv.A_hi, lv.A_lo, precond, b, np.zeros(len(b)),
+                              mode=mode, tol=1e-9, m=rcfg.restart, plan=lv.plan,
                               world=world, rank=rank, tally=tally,
                               debug_replication=True)
             out.append((res.converged, res.iterations))
@@ -402,8 +403,8 @@ def test_criterion_9_multirank_consistency():
 
         out = []
         for mode in ("double", "mixed"):
-            res = gmres_solve(lv.A_hi, lv.A_lo, precond, b, mode=mode,
-                              tol=1e-9, m=cfg.restart, plan=lv.plan,
+            res = gmres_solve(lv.A_hi, lv.A_lo, precond, b, np.zeros(len(b)),
+                              mode=mode, tol=1e-9, m=cfg.restart, plan=lv.plan,
                               world=world, rank=rank, tally=tally)
             out.append((res.converged, res.relres < 1e-9))
         return out

@@ -50,6 +50,7 @@ def _override_id(overrides):
     {"local_nx": 0},
     {"local_nx": -8},
     {"ranks": 0},
+    {"ranks": bench.MAX_RANKS + 1},   # its mailboxes alone would take 0.4 GB
     {"restart": 0},
     {"tol": 0.0},
     {"tol": -1e-9},
@@ -106,7 +107,9 @@ def test_fullscale_validation_iteration_counts():
 # (ranks, local edge, levels): the first 16 hex digits of sha256(x.tobytes())
 # and the iteration count, for the mixed then the double solve of the
 # default config from a zero guess.  Multi-rank x is each rank's x, in its
-# stored (colored) order, concatenated in rank order.
+# stored (colored) order, concatenated in rank order.  The bits hold for a
+# fixed BLAS thread count: numpy's matrix-vector products may sum in another
+# order on another count, and with one OpenBLAS thread both 32^3 hashes differ.
 _FROZEN_SOLUTIONS = {
     (2, 16, 4): (("47271462c5078ecc", 24), ("cf54deaa59faf6db", 23)),
     (8, 8, 3): (("f9ae525651f1bfcc", 18), ("cfe53bb6f7ed29d6", 18)),
@@ -323,6 +326,21 @@ def test_cli_unwritable_output_is_a_configuration_error(tmp_path, capsys,
     assert err.startswith(f"configuration error: cannot write {path}: ")
     assert "\n" not in err and "Traceback" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_cli_checks_report_path_before_the_run(tmp_path, monkeypatch, capsys,
+                                               where):
+    def unreachable(cfg):
+        raise AssertionError("the run started with an unwritable report path")
+
+    monkeypatch.setattr(bench, "run_benchmark", unreachable)
+    path = tmp_path / where
+    assert main(_cli("--report-path", str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_validation_failure_exit_code(monkeypatch, capsys):

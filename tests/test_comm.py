@@ -178,7 +178,8 @@ def test_skipped_collective_times_out(monkeypatch):
 
 def _plan_worker(world, rank, gp):
     dom = gp.domain(rank)
-    return dom, generate_matrix(dom), build_halo_plan(dom)
+    plan = build_halo_plan(dom, np.arange(dom.n_rows))   # natural row order
+    return dom, generate_matrix(dom), plan
 
 
 def _slot_globals(A):
@@ -344,7 +345,7 @@ def test_single_rank_plan_is_empty():
     gp = GlobalProblem.from_local(4, 4, 4, 1)
     dom = gp.domain(0)
     A = generate_matrix(dom)
-    plan = build_halo_plan(dom)
+    plan = build_halo_plan(dom, np.arange(dom.n_rows))
     assert plan.neighbors == []
     assert plan.send_rows == {} and plan.recv_slices == {}
     assert A.n_cols_extended == A.n_rows

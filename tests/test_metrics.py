@@ -63,11 +63,9 @@ def test_count_flops_basic_kernels():
     assert count_flops("scale", n=512) == 512
     assert count_flops("vsub", n=512) == 512
     assert count_flops("vadd", n=512) == 512
-    assert count_flops("waxpby", n=512) == 1536
     assert count_flops("cgs2", n=100, k=5) == 8 * 100 * 5 + 200
     assert count_flops("gemv_update", n=100, k=5) == 1000
     assert count_flops("restrict_fused", nnz=125, n_c=8) == 258
-    assert count_flops("restrict_inject", n_c=8) == 0
     assert count_flops("prolong_add", n_c=8) == 8
 
 
@@ -252,7 +250,7 @@ def test_desk_solve_accounting_is_frozen():
     for mode, (flops, nbytes) in expected.items():
         t = Tally()
         res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r, t), b,
-                          mode=mode, tally=t)
+                          np.zeros(len(b)), mode=mode, tally=t)
         assert res.converged
         assert [t.flops[m] for m in MOTIFS] == flops, mode
         assert [t.bytes[m] for m in MOTIFS] == nbytes, mode

@@ -187,8 +187,8 @@ def test_solves_leave_every_set_as_set_up_built_it():
         b = lv.A_hi.values.sum(axis=1)
         for mode in ("mixed", "double"):
             res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: h.apply(r, Tally()),
-                              b, mode=mode, plan=lv.plan, world=h.world,
-                              rank=h.rank, tally=Tally())
+                              b, np.zeros(len(b)), mode=mode, plan=lv.plan,
+                              world=h.world, rank=h.rank, tally=Tally())
             assert res.converged
         after = held()
         return all(s0 is s1 and len(a0) == len(a1)
@@ -309,10 +309,10 @@ def test_vcycle_preconditioning_reduces_gmres_iterations():
     def precond(r):
         return h.apply(r, tally)
 
-    res_pre = gmres_solve(lv.A_hi, lv.A_lo, precond, b, tol=1e-9,
-                          tally=tally)
-    res_plain = gmres_solve(lv.A_hi, lv.A_lo, lambda r: r, b, tol=1e-9,
-                            tally=Tally())
+    res_pre = gmres_solve(lv.A_hi, lv.A_lo, precond, b, np.zeros(len(b)),
+                          tol=1e-9, tally=tally)
+    res_plain = gmres_solve(lv.A_hi, lv.A_lo, lambda r: r, b,
+                            np.zeros(len(b)), tol=1e-9, tally=Tally())
     assert res_pre.converged and res_plain.converged
     assert res_pre.iterations == 10
     assert res_plain.iterations == 12
