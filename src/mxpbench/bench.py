@@ -11,7 +11,8 @@ Runs three sequential phases on the generated stencil system:
 
 The report carries per-motif seconds / flops / GFLOP/s for both timed
 phases plus a summary whose mixed-precision total is penalized by
-min(1, n_d / n_ir), and the iteration count of every timed solve.
+min(1, n_d / n_ir), the iteration count of every timed solve, and the
+compiler flags and host CPU the row kernels were built for.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .comm import ProtocolError, RankWorld, reduce_sum
 from .geometry import CoarseningError, GlobalProblem
 from .krylov import gmres_solve
@@ -275,7 +277,10 @@ def _assemble_report(cfg, val, parts):
                "iterations": {"mxp": parts[0]["iters_mxp"],
                               "double": parts[0]["iters_dbl"]}}
 
+    model, flags = kernels.CPU
     return {"config": asdict(cfg),
+            "machine": {"kernel_cflags": list(kernels.CFLAGS),
+                        "cpu_model": model, "cpu_flags": flags},
             "validation": val,
             "mxp": mxp,
             "double": dbl,

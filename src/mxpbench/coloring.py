@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .problem import EllMatrix, take_rows
+from .problem import EllMatrix, chunked, take_rows
 
 
 @dataclass
@@ -99,7 +99,7 @@ def color(domain, strategy="greedy", seed=0):
 def permute_system(A, coloring):
     """The symmetric reordering P A P^T.
 
-    Rows are gathered by perm into new column-major arrays; owned column ids,
+    Rows are gathered by perm into new SELL chunks; owned column ids,
     padding's own-row ids among them, are relabeled through iperm, and the
     owned columns' global ids follow their rows.  The entry order inside
     each row is untouched: entries are sorted by global column id, and a
@@ -107,12 +107,12 @@ def permute_system(A, coloring):
     """
     n = A.n_rows
     perm = coloring.perm
-    col_idx = take_rows(A.col_idx, perm)
-    owned = col_idx < n
-    col_idx[owned] = coloring.iperm[col_idx[owned]]
+    cols = take_rows(A.chunk_cols, perm)
+    owned = cols < n
+    cols[owned] = coloring.iperm[cols[owned]]
     return EllMatrix(n_rows=n, width=A.width,
-                     values=take_rows(A.values, perm),
-                     col_idx=col_idx,
+                     chunk_values=chunked(take_rows(A.chunk_values, perm)),
+                     chunk_cols=chunked(cols),
                      col_gid=np.concatenate((A.col_gid[perm],
                                              A.col_gid[n:])),
                      row_nnz=A.row_nnz[perm],

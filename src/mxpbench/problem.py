@@ -1,4 +1,4 @@
-"""27-point stencil system assembly in padded, column-major ELL storage.
+"""27-point stencil system assembly in padded ELL rows, stored as SELL chunks.
 
 Each grid point couples to its full 3x3x3 neighborhood: the diagonal entry is
 26 and every neighbor entry is -1, so rows sum to a non-negative value and the
@@ -8,19 +8,22 @@ and the padding at the tail.  That slot order is fixed, and it is what makes
 kernel results independent of how the grid is split across ranks: every row
 accumulates its products in the same order no matter who owns the columns.
 
-What a level stores per precision is two n x 27 arrays, ``values`` and the
-int32 ``col_idx``, both column-major (Fortran order): slot s of every row,
-``values[:, s]``, is one contiguous column of length n.  That is ELL, or
-SELL-C-sigma (Kreutzer et al., SISC 2014) with one chunk of C = n rows, not
-chunked; the C row kernels of ``kernels`` walk it slot by slot over a block
-of rows.  Each level stores its rows once; ``attach_sets`` packs in the same
-layout, once, just the rows that read a halo slot, which an overlapped
-exchange recomputes, and the rows the next level injects from.
+What a level stores per precision is its entry values and the int32 column
+indices, each once, as SELL-C-sigma chunks (Kreutzer et al., SISC 2014) with
+C = ``kernels.CHUNK`` = 256 rows and sigma = 1: an array of shape
+(ceil(n / C), 27, C) whose entry [i // C, s, i % C] is slot s of row i, so
+each chunk holds its 27 slots of C rows one after another, and the last
+chunk is padded with rows of value 0.0 and column 0.  ``generate_matrix``
+writes the chunks directly, and the C row kernels of ``kernels`` read them
+as they are.  ``attach_sets`` packs in the same layout, once, just the rows
+that read a halo slot, which an overlapped exchange recomputes, and the rows
+the next level injects from.  Readers outside the kernels see ``values``,
+``col_idx`` and ``col_global`` as derived, read-only n x 27 arrays.
 
-``col_idx`` is the one per-entry index array, held in the form the kernels
-read, with each padding slot pointing at its own row (value 0.0).  Every
-entry lies in ``[0, n_cols_extended)`` from generation on: a column owned by
-another rank holds its halo slot, which the grid alone decides
+The column chunks are the one per-entry index array, held in the form the
+kernels read, with each padding slot pointing at its own row (value 0.0).
+Every entry lies in ``[0, n_cols_extended)`` from generation on: a column
+owned by another rank holds its halo slot, which the grid alone decides
 (``LocalDomain.shell``).  A padding product is a signed zero, and adding it
 to an accumulator that starts at +0.0 changes no bit.  Global ids are held
 once per column of the halo-tailed vector (``col_gid``), not per entry.
@@ -34,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from .kernels import CHUNK
 
 STENCIL_WIDTH = 27
 
@@ -50,24 +54,26 @@ class SingularDiagonal(Exception):
 
 @dataclass
 class EllMatrix:
-    """Padded fixed-width sparse rows; no row-pointer array.
+    """Padded fixed-width sparse rows in SELL chunks; no row-pointer array.
 
-    ``values`` and ``col_idx`` are the only n x width arrays, column-major,
-    slot s of every row contiguous; slot order within a row is ascending
-    global column and never changes.  ``col_idx`` (int32) holds local row
-    indices for owned columns and halo slot indices (n_rows and up) for
-    neighbor-owned columns.  A padding slot (s >= row_nnz[i]) holds value
-    0.0 and column i, so every kernel reads ``col_idx`` as it is.
-    ``col_gid`` (int64) holds the global id of each column of the
-    halo-tailed vector: the owned rows in stored order, then the halo slots.
-    ``diag_pos[i]`` is the position of the diagonal within row i.  ``sets``
-    holds the kernel row sets, ``KernelSets``, once ``attach_sets`` has run.
+    ``chunk_values`` and ``chunk_cols`` (int32) are the only per-entry
+    arrays, each (ceil(n / CHUNK), width, CHUNK) with slot s of row i at
+    [i // CHUNK, s, i % CHUNK]; slot order within a row is ascending global
+    column and never changes.  ``chunk_cols`` holds local row indices for
+    owned columns and halo slot indices (n_rows and up) for neighbor-owned
+    columns.  A padding slot (s >= row_nnz[i]) holds value 0.0 and column i,
+    so every kernel reads the columns as they are; a padding row of the last
+    chunk holds 0.0 and column 0.  ``col_gid`` (int64) holds the global id
+    of each column of the halo-tailed vector: the owned rows in stored order,
+    then the halo slots.  ``diag_pos[i]`` is the position of the diagonal
+    within row i.  ``sets`` holds the kernel row sets, ``KernelSets``, once
+    ``attach_sets`` has run.
     """
 
     n_rows: int
     width: int
-    values: np.ndarray
-    col_idx: np.ndarray
+    chunk_values: np.ndarray
+    chunk_cols: np.ndarray
     col_gid: np.ndarray
     row_nnz: np.ndarray
     diag_pos: np.ndarray
@@ -76,7 +82,7 @@ class EllMatrix:
 
     @property
     def dtype(self):
-        return self.values.dtype
+        return self.chunk_values.dtype
 
     @property
     def n_cols_extended(self):
@@ -84,10 +90,32 @@ class EllMatrix:
         return len(self.col_gid)
 
     @property
+    def values(self):
+        """n x width entry values, derived from the chunks; read-only."""
+        return self._by_row(self.chunk_values)
+
+    @property
+    def col_idx(self):
+        """n x width column indices, derived from the chunks; read-only."""
+        return self._by_row(self.chunk_cols)
+
+    @property
     def col_global(self):
-        """n x width global ids of the entries, derived from ``col_idx``; a
-        padding slot reads its own row's id, as its ``col_idx`` names it."""
-        return self.col_gid[self.col_idx]
+        """n x width global ids of the entries, derived from the columns; a
+        padding slot reads its own row's id, as its column names it."""
+        return self._by_row(self.chunk_cols, self.col_gid)
+
+    def _by_row(self, chunks, table=None):
+        """Read-only n x width ``chunks``, each entry looked up in ``table``
+        if given; built a slot at a time, so no larger array is made."""
+        width = self.width
+        out = np.empty((width, len(chunks), CHUNK),
+                       dtype=(chunks if table is None else table).dtype)
+        for s in range(width):
+            out[s] = chunks[:, s] if table is None else table[chunks[:, s]]
+        out = out.reshape(width, -1)[:, :self.n_rows].T
+        out.flags.writeable = False
+        return out
 
 
 class KernelSets(NamedTuple):
@@ -105,39 +133,60 @@ class KernelSets(NamedTuple):
 def attach_sets(matrices, color_offsets, f2c=None):
     """Build one level's ``KernelSets`` and set each matrix's ``sets``.
 
-    ``matrices`` are the level's precision twins, which share ``col_idx``:
-    each index pack is built once for all of them, each value pack and the
-    diagonal once per matrix.  The only packs hold the rows with halo
-    columns and the rows ``f2c`` lists, which the next level injects from.
+    ``matrices`` are the level's precision twins, which share
+    ``chunk_cols``: each index pack is built once for all of them, each
+    value pack and the diagonal once per matrix.  The only packs, SELL
+    chunks like the level's own, hold the rows with halo columns and the
+    rows ``f2c`` lists, which the next level injects from.
     ``color_offsets`` (intp) splits the rows into colour blocks.  A zero
     diagonal raises SingularDiagonal.
     """
     A0 = matrices[0]
     n = A0.n_rows
-    rows = np.flatnonzero(A0.col_idx.max(axis=1) >= n)  # no n x 27 temporary
-    cols = take_rows(A0.col_idx, rows)
+    rows = np.flatnonzero(A0.chunk_cols.max(axis=1).reshape(-1)[:n] >= n)
+    cols = chunked(take_rows(A0.chunk_cols, rows))
     below = int(np.searchsorted(rows, color_offsets[1]))
     if f2c is not None:
-        f2c_cols = take_rows(A0.col_idx, f2c)
+        f2c_cols = chunked(take_rows(A0.chunk_cols, f2c))
         f2c_nnz = int(A0.row_nnz[f2c].sum())
+    diag_at = _slot0(np.arange(n), A0.width) + CHUNK * A0.diag_pos
     for A in matrices:
-        diag = A.values[np.arange(n), A.diag_pos]
+        diag = A.chunk_values.reshape(-1)[diag_at]
         if np.any(diag == 0):
             raise SingularDiagonal("zero diagonal entry in smoother input")
-        everything = kernels.row_set(A.values, A.col_idx)
-        halo = kernels.row_set(take_rows(A.values, rows), cols, rows)
+        everything = kernels.row_set(A.chunk_values, A.chunk_cols, n)
+        halo = kernels.row_set(chunked(take_rows(A.chunk_values, rows)),
+                               cols, len(rows), rows)
         A.sets = KernelSets(
             everything, kernels.relax_set(everything, diag, color_offsets),
             (halo, kernels.relax_set(halo, diag,
                                      np.array([0, below], dtype=np.intp))),
             None if f2c is None else (
-                f2c, kernels.row_set(take_rows(A.values, f2c), f2c_cols),
+                f2c, kernels.row_set(chunked(take_rows(A.chunk_values, f2c)),
+                                     f2c_cols, len(f2c)),
                 f2c_nnz))
 
 
-def take_rows(a, rows):
-    """``a[rows]`` as a new column-major array (``a[rows]`` is row-major)."""
-    return np.take(a.T, rows, axis=1).T
+def _slot0(rows, width):
+    """Flat position of slot 0 of each of ``rows`` in chunks of ``width``
+    slots; slot s lies s * CHUNK further on."""
+    return rows // CHUNK * (CHUNK * width) + rows % CHUNK
+
+
+def take_rows(chunks, rows):
+    """Rows ``rows`` of the SELL ``chunks``, as a row-major array."""
+    width = chunks.shape[1]
+    return chunks.reshape(-1)[_slot0(rows, width)[:, None]
+                              + CHUNK * np.arange(width)]
+
+
+def chunked(a):
+    """The SELL chunks of the m x width array ``a``; padding rows are 0."""
+    m, width = a.shape
+    out = np.zeros((-(-m // CHUNK) * CHUNK, width), dtype=a.dtype)
+    out[:m] = a
+    return np.ascontiguousarray(
+        out.reshape(-1, CHUNK, width).transpose(0, 2, 1))
 
 
 def generate_matrix(domain, perm=None):
@@ -147,8 +196,9 @@ def generate_matrix(domain, perm=None):
     keeps the natural order), and an owned column is numbered by its row.
     Columns owned by neighboring ranks get ``n_rows + slot``, their place in
     ``domain.shell``: owner rank ascending, then global id ascending.
-    The result equals ``coloring.permute_system`` of the natural-order
-    matrix in every array, without building that matrix.
+    Entries are written straight into their SELL chunks.  The result equals
+    ``coloring.permute_system`` of the natural-order matrix in every array,
+    without building that matrix.
     """
     n = domain.n_rows
     ex, ey = domain.lnx + 2, domain.lny + 2
@@ -164,27 +214,31 @@ def generate_matrix(domain, perm=None):
                                         + domain.gny * (z + domain.oz)),
         shell_gid))
 
-    # Column-major from the start; unfilled slots stay padding (0.0, own row).
-    vals = np.zeros((n, STENCIL_WIDTH), order="F")
-    cols = np.tile(np.arange(n, dtype=np.int32), (STENCIL_WIDTH, 1)).T
+    # Unfilled slots stay padding (0.0, own row); padding rows hold column 0.
+    n_chunks = -(-n // CHUNK)
+    vals = np.zeros((n_chunks, STENCIL_WIDTH, CHUNK))
+    own = np.arange(n_chunks * CHUNK, dtype=np.int32)
+    own[n:] = 0
+    cols = np.repeat(own.reshape(n_chunks, 1, CHUNK), STENCIL_WIDTH, axis=1)
     row_nnz = np.zeros(n, dtype=np.int32)
+    slot0 = _slot0(np.arange(n), STENCIL_WIDTH)
 
     # Offsets ascend in global index, so appending each valid neighbor at
     # its row's next free slot keeps rows sorted with padding at the tail.
     for k, (dx, dy, dz) in enumerate(_OFFSETS):
         col = col_of[at + (dx + ex * (dy + ey * dz))]
         rows = np.flatnonzero(col >= 0)
-        col = col[rows]
         slot = row_nnz[rows]
         if k == _SELF_POS:      # every row holds itself
             diag_pos = slot
-        vals[rows, slot] = 26.0 if k == _SELF_POS else -1.0
-        cols[rows, slot] = col
+        entry = slot0[rows] + CHUNK * slot
+        vals.reshape(-1)[entry] = 26.0 if k == _SELF_POS else -1.0
+        cols.reshape(-1)[entry] = col[rows]
         row_nnz[rows] += 1
 
-    return EllMatrix(n_rows=n, width=STENCIL_WIDTH, values=vals, col_idx=cols,
-                     col_gid=col_gid, row_nnz=row_nnz, diag_pos=diag_pos,
-                     nnz_total=int(row_nnz.sum()))
+    return EllMatrix(n_rows=n, width=STENCIL_WIDTH, chunk_values=vals,
+                     chunk_cols=cols, col_gid=col_gid, row_nnz=row_nnz,
+                     diag_pos=diag_pos, nnz_total=int(row_nnz.sum()))
 
 
 @dataclass
@@ -199,18 +253,20 @@ def generate_rhs(A):
     b is just the row sums: zero for interior rows, positive on the global
     boundary.  Computed in double precision; exact for these integer values.
     """
-    return ProblemVectors(b=A.values.sum(axis=1))
+    return ProblemVectors(
+        b=A.chunk_values.sum(axis=1).reshape(-1)[:A.n_rows])
 
 
 def to_low_precision(A):
     """Single-precision copy of A sharing every other field but ``sets``.
 
-    The entry values 26 and -1 are exact in binary32, so only the value array
-    narrows; indices, global ids, counts and diagonal positions are shared
-    by reference.  The copy has no kernel sets until ``attach_sets`` builds
-    them.
+    The entry values 26 and -1 are exact in binary32, so only the value
+    chunks narrow; column chunks, global ids, counts and diagonal positions
+    are shared by reference.  The copy has no kernel sets until
+    ``attach_sets`` builds them.
     """
-    return replace(A, values=A.values.astype(np.float32), sets=None)
+    return replace(A, chunk_values=A.chunk_values.astype(np.float32),
+                   sets=None)
 
 
 def write_matrix_market(path, A):

@@ -40,12 +40,13 @@ def dense_stencil_3d(nx, ny, nz):
 def ell_to_dense(A):
     """Densify an ELL matrix over its owned columns (halo entries forbidden)."""
     n = A.n_rows
-    D = np.zeros((n, n), dtype=A.values.dtype)
+    values, col_idx = A.values, A.col_idx
+    D = np.zeros((n, n), dtype=values.dtype)
     for i in range(n):
         for s in range(int(A.row_nnz[i])):     # padding follows row_nnz
-            c = int(A.col_idx[i, s])
+            c = int(col_idx[i, s])
             assert 0 <= c < n, f"row {i} references non-owned column {c}"
-            D[i, c] = A.values[i, s]
+            D[i, c] = values[i, s]
     return D
 
 
@@ -65,6 +66,16 @@ def oracle_cols(A):
     return cols
 
 
+def from_chunks(a):
+    """Every row of the SELL chunks ``a``, padding rows included: entry
+    (i, s) lies at flat position (i // C) * C * width + s * C + i % C, with
+    C = 256 rows per chunk."""
+    n_chunks, width, C = a.shape
+    assert C == 256 and a.flags.c_contiguous
+    i = np.arange(n_chunks * C)[:, None]
+    return a.reshape(-1)[(i // C) * C * width + np.arange(width) * C + i % C]
+
+
 def with_sets(A, coloring=None):
     """``A`` with its kernel row sets attached, for a matrix outside a
     hierarchy (``build_hierarchy`` attaches its own).
@@ -81,20 +92,22 @@ def with_sets(A, coloring=None):
     return A
 
 
-def row_dot(vals, cols, x):
+def row_dot(vals, cols, x, out=None):
     """Per-row sum of ``vals[:, s] * x[cols[:, s]]`` by the C kernel, for
-    arrays of any layout.
+    n x width arrays of any layout; set row i writes ``out[i]`` (None: i).
 
-    ``vals`` and ``cols`` are first copied, where they differ, to
-    column-major arrays of x's dtype and of int32, the layout the kernel
-    reads.
+    ``vals`` and ``cols`` are first copied to SELL chunks of x's dtype and
+    of int32, the layout the kernel reads.
     """
     from mxpbench import kernels
+    from mxpbench.problem import chunked
 
-    vals = np.asfortranarray(vals, dtype=x.dtype)
-    cols = np.asfortranarray(cols, dtype=np.int32)
-    y = np.empty(len(vals), dtype=x.dtype)
-    kernels.row_dot(kernels.row_set(vals, cols), x, y)
+    n = len(vals)
+    y = np.zeros(n if out is None else int(out.max(initial=-1)) + 1,
+                 dtype=x.dtype)
+    kernels.row_dot(kernels.row_set(chunked(vals.astype(x.dtype)),
+                                    chunked(cols.astype(np.int32)), n, out),
+                    x, y)
     return y
 
 
@@ -332,10 +345,11 @@ def best_factor(p):
 def local_pattern(A):
     """Dense 0/1 pattern of an ELL matrix's owned couplings (halo dropped)."""
     n = A.n_rows
+    col_idx = A.col_idx
     D = np.zeros((n, n))
     for i in range(n):
         for s in range(int(A.row_nnz[i])):
-            c = int(A.col_idx[i, s])
+            c = int(col_idx[i, s])
             if 0 <= c < n:
                 D[i, c] = 1.0
     return D
@@ -344,7 +358,8 @@ def local_pattern(A):
 def local_adjacency(A):
     """Per-row lists of locally coupled rows as Python ints (halo dropped)."""
     n = A.n_rows
-    return [[c for c in A.col_idx[i, :A.row_nnz[i]].tolist()
+    col_idx = A.col_idx
+    return [[c for c in col_idx[i, :A.row_nnz[i]].tolist()
              if 0 <= c < n and c != i] for i in range(n)]
 
 
@@ -420,28 +435,32 @@ def greedy_color_sequential(adj):
     return np.array(colors, dtype=np.int32)
 
 
-def ell_from_dense(D):
-    """Hand-build an EllMatrix from a dense pattern (tests only).
+def ell_from_dense(D, pattern=None):
+    """Hand-build an EllMatrix from a dense matrix (tests only).
 
-    The arrays are stored as ``generate_matrix`` stores them: column-major,
-    int32 columns, padding with value 0.0 and the row's own column.
+    Row i stores ``D[i, c]`` for each c where ``pattern[i, c]`` (None: where
+    ``D`` is nonzero), so a stored entry may be zero.  The arrays are stored
+    as ``generate_matrix`` stores them: SELL chunks, int32 columns, padding
+    with value 0.0 and the row's own column.
     """
-    from mxpbench.problem import EllMatrix
+    from mxpbench.problem import EllMatrix, chunked
 
     n = D.shape[0]
-    width = int(max((D[i] != 0).sum() for i in range(n)))
-    values = np.zeros((n, width), order="F")
+    pattern = D != 0 if pattern is None else pattern
+    width = int(pattern.sum(axis=1).max())
+    values = np.zeros((n, width))
     col_idx = np.tile(np.arange(n, dtype=np.int32), (width, 1)).T
     row_nnz = np.zeros(n, dtype=np.int32)
     diag_pos = np.zeros(n, dtype=np.int32)
     for i in range(n):
-        cols = np.flatnonzero(D[i])
+        cols = np.flatnonzero(pattern[i])
         row_nnz[i] = len(cols)
         for s, c in enumerate(cols):
             values[i, s] = D[i, c]
             col_idx[i, s] = c
             if c == i:
                 diag_pos[i] = s
-    return EllMatrix(n_rows=n, width=width, values=values, col_idx=col_idx,
+    return EllMatrix(n_rows=n, width=width, chunk_values=chunked(values),
+                     chunk_cols=chunked(col_idx),
                      col_gid=np.arange(n), row_nnz=row_nnz,
                      diag_pos=diag_pos, nnz_total=int(row_nnz.sum()))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mxpbench.bench as bench
+from mxpbench import kernels
 from mxpbench.bench import (
     BenchConfig,
     ConfigError,
@@ -181,7 +182,11 @@ SUMMARY_KEYS = {"raw_gflops", "penalty", "penalized_gflops", "speedup",
 
 def test_report_structure():
     report = run_benchmark(_tiny_cfg())
-    assert set(report) == {"config", "validation", "mxp", "double", "summary"}
+    assert set(report) == {"config", "machine", "validation", "mxp", "double",
+                           "summary"}
+    assert report["machine"] == {"kernel_cflags": list(kernels.CFLAGS),
+                                 "cpu_model": kernels.CPU[0],
+                                 "cpu_flags": kernels.CPU[1]}
     assert set(report["validation"]) == {"mode", "n_d", "n_ir", "ratio",
                                          "residual", "restarts",
                                          "boundary_pairs"}
@@ -298,7 +303,8 @@ def test_cli_success_and_report_file(tmp_path, capsys):
 def test_cli_prints_report_without_path(capsys):
     assert main(_cli()) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"config", "validation", "mxp", "double", "summary"}
+    assert set(report) == {"config", "machine", "validation", "mxp", "double",
+                           "summary"}
 
 
 def test_cli_rejects_bad_geometry(capsys):

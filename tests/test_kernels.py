@@ -11,14 +11,16 @@ import pytest
 
 import mxpbench
 from mxpbench import kernels
+from mxpbench.comm import RankWorld, exchange
 from mxpbench.geometry import GlobalProblem
 from mxpbench.krylov import spmv
 from mxpbench.metrics import Tally
 from mxpbench.multigrid import build_hierarchy, fused_residual_restrict
+from mxpbench.problem import chunked
 from mxpbench.smoother import forward_gs_sweep
 
-from _oracles import (oracle_cols, seq_gs_sweep, seq_restrict_residual,
-                      seq_spmv)
+from _oracles import (oracle_cols, row_dot, seq_gs_sweep,
+                      seq_restrict_residual, seq_spmv)
 
 _SRC = str(Path(mxpbench.__file__).resolve().parents[1])
 
@@ -66,6 +68,30 @@ def test_import_without_a_c_compiler_names_it(tmp_path):
     assert code != 0
     assert "ImportError" in err and "C compiler (cc)" in err
     assert not (tmp_path / "cache" / "mxpbench").exists()
+
+
+def test_library_path_covers_the_host_cpu(monkeypatch):
+    # A cache shared between hosts keeps one library per CPU: another model
+    # or another set of feature flags names another file, and naming it
+    # compiles nothing.
+    model, flags = kernels.CPU
+    assert model
+    here = kernels._library_path()
+    assert here.exists()                    # the library this process loaded
+    others = []
+    for cpu in ((model + " (another)", flags), (model, flags + " avx10")):
+        monkeypatch.setattr(kernels, "CPU", cpu)
+        others.append(kernels._library_path())
+    assert len({here, *others}) == 3
+    assert all(p.parent == here.parent and not p.exists() for p in others)
+
+
+def test_host_cpu_falls_back_to_the_machine_name(monkeypatch):
+    def missing(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(kernels, "open", missing, raising=False)
+    assert kernels._host_cpu() == (os.uname().machine, "")
 
 
 @pytest.fixture(scope="module")
@@ -119,24 +145,153 @@ def test_kernels_refuse_vectors_they_would_overrun(hierarchy16):
 
 
 def _pattern(n=4, width=3):
-    """Column-major values and in-range int32 columns of an n-row set."""
-    vals = np.ones((n, width), order="F")
-    cols = np.tile(np.arange(n, dtype=np.int32), (width, 1)).T
+    """SELL chunks of the values and in-range int32 columns of an n-row set."""
+    vals = chunked(np.ones((n, width)))
+    cols = chunked(np.tile(np.arange(n, dtype=np.int32), (width, 1)).T)
     return vals, cols
 
 
 def test_row_set_refuses_a_negative_column():
     vals, cols = _pattern()
-    kernels.row_set(vals, cols)
-    cols[2, 1] = -1
+    kernels.row_set(vals, cols, 4)
+    cols[0, 1, 2] = -1                      # slot 1 of row 2
     with pytest.raises(ValueError, match=">= 0"):
-        kernels.row_set(vals, cols)
+        kernels.row_set(vals, cols, 4)
 
 
 def test_row_set_refuses_a_negative_output_row():
     vals, cols = _pattern()
     out = np.arange(4, dtype=np.intp)
-    kernels.row_set(vals, cols, out)
+    kernels.row_set(vals, cols, 4, out)
     out[3] = -2
     with pytest.raises(ValueError, match=">= 0"):
-        kernels.row_set(vals, cols, out)
+        kernels.row_set(vals, cols, 4, out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 4097])
+def test_row_dot_matches_the_oracle_at_chunk_edges(n, dtype):
+    # Sets that end just before, at and just after a 256-row chunk bound,
+    # written in order and through a scattered output row list.
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, 27)).astype(dtype)
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    cols = rng.integers(0, 300, size=(n, 27))
+    x = rng.standard_normal(300).astype(dtype)
+    want, _ = seq_spmv(vals, cols, x)
+    assert row_dot(vals, cols, x).tobytes() == want.tobytes()
+    out = rng.permutation(n + 5)[:n]
+    scattered = np.zeros(out.max(initial=-1) + 1, dtype=dtype)
+    scattered[out] = want
+    assert row_dot(vals, cols, x, out).tobytes() == scattered.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_relax_blocks_bounded_inside_chunks_match_the_oracle(dtype):
+    # Block bounds 3, 255, 257, 300, 511 and 513 fall inside chunks; each row
+    # reads its own diagonal, rows of other blocks and a halo tail, never
+    # another row of its block.  Two calls split the blocks mid-chunk too.
+    n, tail = 600, 40
+    blocks = np.array([0, 3, 255, 256, 257, 300, 511, 513, 600])
+    block = np.searchsorted(blocks, np.arange(n), side="right") - 1
+    rng = np.random.default_rng(7)
+    cols = np.empty((n, 27), dtype=np.int64)
+    for i in range(n):
+        others = np.flatnonzero(block != block[i])
+        cols[i] = np.sort(rng.choice(np.append(others, np.arange(n, n + tail)),
+                                     27, replace=False))
+    diag_pos = rng.integers(0, 27, size=n)
+    cols[np.arange(n), diag_pos] = np.arange(n)
+    vals = rng.standard_normal((n, 27)).astype(dtype)
+    vals[np.arange(n), diag_pos] = 27 + rng.random(n)
+    r = rng.standard_normal(n).astype(dtype)
+    z = rng.standard_normal(n + tail).astype(dtype)
+    want = z.copy()
+    seq_gs_sweep(vals, cols, diag_pos, r, want)
+
+    rows = kernels.row_set(chunked(vals), chunked(cols.astype(np.int32)), n)
+    relax = kernels.relax_set(rows, vals[np.arange(n), diag_pos],
+                              blocks.astype(np.intp))
+    kernels.relax(relax, r, z, 0, 4)
+    kernels.relax(relax, r, z, 4, relax.n_blocks)
+    assert z.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_jpl_colour_blocks_match_the_oracle(dtype):
+    # Jones-Plassmann colour classes have any sizes, so block bounds fall
+    # inside chunks.
+    gp = GlobalProblem.from_local(16, 16, 16, 1)
+    lv = build_hierarchy(gp.domain(0), 1, strategy="jpl", seed=5).levels[0]
+    A = lv.A_hi if dtype == np.float64 else lv.A_lo
+    assert np.any(lv.coloring.color_offsets % kernels.CHUNK)
+    rng = np.random.default_rng(8)
+    r = rng.standard_normal(A.n_rows).astype(dtype)
+    z = rng.standard_normal(A.n_cols_extended).astype(dtype)
+    want = z.copy()
+    forward_gs_sweep(A, r, z, tally=Tally())
+    seq_gs_sweep(A.values, oracle_cols(A), A.diag_pos, r, want)
+    assert z.tobytes() == want.tobytes()
+
+
+def _overlapped_matches_oracle(h, rank, dtype, rng):
+    """Overlapped SpMV and sweep, and the fused restriction, on every level
+    of ``h``, bitwise against the oracles; the halo tail starts NaN."""
+    ok = []
+    for level, lv in enumerate(h.levels):
+        A = lv.A_hi if dtype == np.float64 else lv.A_lo
+        n, cols = A.n_rows, oracle_cols(A)
+        r = rng.standard_normal(n).astype(dtype)
+        stale = np.full(A.n_cols_extended, np.nan, dtype=dtype)
+        stale[:n] = rng.standard_normal(n)
+        fresh = stale.copy()
+        exchange(fresh, lv.plan, h.world, rank)
+        y_ref, _ = seq_spmv(A.values, cols, fresh)
+        y = spmv(A, stale.copy(), lv.plan, h.world, rank, tally=Tally())
+        z_ref = fresh.copy()
+        seq_gs_sweep(A.values, cols, A.diag_pos, r, z_ref)
+        z = stale.copy()
+        forward_gs_sweep(A, r, z, lv.plan, h.world, rank, tally=Tally())
+        ok += [y.tobytes() == y_ref.tobytes(), z.tobytes() == z_ref.tobytes()]
+        if level + 1 < len(h.levels):
+            f2c = h.levels[level + 1].f2c
+            rc_ref, _ = seq_restrict_residual(A.values, cols, r, fresh, f2c)
+            rc = fused_residual_restrict(A, r, fresh, Tally())
+            ok.append(rc.tobytes() == rc_ref.tobytes())
+    return ok
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_coloured_8_rank_hierarchy_matches_the_oracles(dtype):
+    # 512 rows per rank in eight 64-row colour blocks: four blocks share
+    # each chunk.
+    gp = GlobalProblem.from_local(8, 8, 8, 8)
+
+    def worker(world, rank):
+        h = build_hierarchy(gp.domain(rank), 2, world, rank)
+        assert list(h.levels[0].coloring.color_offsets) == list(range(0, 513,
+                                                                      64))
+        return _overlapped_matches_oracle(h, rank, dtype,
+                                          np.random.default_rng(rank))
+
+    assert RankWorld(8).run(worker) == [[True] * 5] * 8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_halo_and_restriction_packs_span_chunks_on_2_ranks(dtype):
+    # 36 x 36 x 4 per rank: 1,296 rows read the halo, 324 of them colour 0
+    # on rank 1, and 648 rows feed the next level, so every pack is several
+    # chunks and the halo pack's one relax block ends inside one.
+    gp = GlobalProblem.from_local(36, 36, 4, 2)
+
+    def worker(world, rank):
+        h = build_hierarchy(gp.domain(rank), 2, world, rank)
+        A = h.levels[0].A_hi
+        dot, relax0 = A.sets.halo
+        f2c, restrict, _ = A.sets.restrict
+        assert (dot.args[0], restrict.args[0]) == (1296, 648)
+        assert relax0.arrays[-1][1] == (0, 324)[rank]
+        return _overlapped_matches_oracle(h, rank, dtype,
+                                          np.random.default_rng(rank))
+
+    assert RankWorld(2).run(worker) == [[True] * 5] * 2

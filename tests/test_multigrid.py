@@ -47,7 +47,7 @@ def test_hierarchy_level_shapes():
         assert lv.A_hi.values.dtype == np.float64
         assert lv.A_lo.values.dtype == np.float32
         # Low-precision operator shares the sparsity structure.
-        assert lv.A_lo.col_idx is lv.A_hi.col_idx
+        assert lv.A_lo.chunk_cols is lv.A_hi.chunk_cols
 
 
 def test_greedy_set_up_assembles_each_level_once_in_colored_order(
@@ -141,9 +141,13 @@ def _two_rank_hierarchy(worker):
                                                    world, rank)))
 
 
-def test_set_up_attaches_column_major_sets_sharing_index_packs():
+def _chunk_count(n):
+    return -(-n // 256)
+
+
+def test_set_up_attaches_chunked_sets_sharing_index_packs():
     # Row-major packs give the same bits, but row_dot over all rows of a
-    # 32^3 level then runs 4-6x slower.
+    # 32^3 level then runs 4-6x slower; every set is 256-row SELL chunks.
     def worker(h):
         for lv, coarse in zip(h.levels, h.levels[1:] + [None]):
             hi, lo = lv.A_hi.sets, lv.A_lo.sets
@@ -155,22 +159,30 @@ def test_set_up_attaches_column_major_sets_sharing_index_packs():
                                               _index_packs(lo), strict=True))
             for A in (lv.A_hi, lv.A_lo):
                 held = _held_arrays(A.sets)
-                assert all(a.flags.f_contiguous for a in held if a.ndim == 2)
-                beside = [a for a in held
-                          if a is not A.values and a is not A.col_idx]
-                # no full-size copy of the values, in any shape
-                assert not any(a.dtype.kind == "f" and a.size >= A.values.size
-                               for a in beside)
-                # and no n x 27 index array
-                assert not any(a.dtype.kind in "iu"
-                               and a.shape == A.col_idx.shape for a in beside)
-                # beside the diagonal, packed values only for the rows that
-                # read a halo slot and the rows the next level injects from
+                assert all(a.flags.c_contiguous and a.shape[2] == 256
+                           for a in held if a.ndim == 3)
+                assert not any(a.ndim == 2 for a in held)
+                beside = [a for a in held if a is not A.chunk_values
+                          and a is not A.chunk_cols]
+                # no copy of the level's values or columns, in any shape:
+                # beside the diagonal, only the packs' chunks, and each
+                # pack holds fewer rows than the level
+                packs = [A.sets.halo[0]] + (
+                    [] if coarse is None else [A.sets.restrict[1]])
+                assert all(p.args[0] < A.n_rows for p in packs)
+                chunks = {id(a) for p in packs for a in p.arrays[:2]}
+                assert {id(a) for a in beside if a.ndim == 3} == chunks
+                assert all(a.size == A.n_rows for a in beside
+                           if a.dtype.kind == "f" and a.ndim == 1)
+                # packed values only for the rows that read a halo slot and
+                # the rows the next level injects from, each pack padded to
+                # whole chunks
                 packed = {id(a): a.size for a in beside
-                          if a.dtype.kind == "f" and a.ndim == 2}
+                          if a.dtype.kind == "f" and a.ndim == 3}
                 boundary = (A.col_idx >= A.n_rows).any(axis=1).sum()
                 injected = 0 if coarse is None else len(coarse.f2c)
-                assert sum(packed.values()) <= (boundary + injected) * 27
+                assert sum(packed.values()) == 256 * 27 * (
+                    _chunk_count(boundary) + _chunk_count(injected))
         return True
 
     assert _two_rank_hierarchy(worker) == [True, True]

@@ -11,7 +11,7 @@ from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import (generate_matrix, generate_rhs, to_low_precision,
                               write_matrix_market)
 
-from _oracles import (dense_stencil_3d, ell_to_dense, owns_global,
+from _oracles import (dense_stencil_3d, ell_to_dense, from_chunks, owns_global,
                       padding_mask, row_dot, seq_spmv, structure_signature,
                       with_sets)
 
@@ -98,7 +98,7 @@ def test_low_precision_copy_shares_structure():
     L = to_low_precision(A)
     assert L.values.dtype == np.float32
     assert np.array_equal(L.values.astype(np.float64), A.values)  # exact
-    assert L.col_idx is A.col_idx
+    assert L.chunk_cols is A.chunk_cols
     assert L.col_gid is A.col_gid
     assert L.row_nnz is A.row_nnz
     assert L.diag_pos is A.diag_pos
@@ -153,9 +153,10 @@ def _stencil_gids(dom, perm):
 
 @pytest.mark.parametrize("ranks", [2, 8])
 def test_levels_store_two_entry_arrays_and_derive_global_ids(ranks):
-    # Only values and col_idx hold one entry per slot; col_global, derived
-    # from the per-column ids, names every row's stencil neighbours from
-    # the grid, and a padding slot names the row itself.
+    # Only the value and column chunks hold one entry per slot, padded to
+    # whole 256-row chunks; col_global, derived from the per-column ids,
+    # names every row's stencil neighbours from the grid, and a padding
+    # slot names the row itself.
     gp = GlobalProblem.from_local(4, 4, 4, ranks)
 
     def worker(world, rank):
@@ -164,10 +165,11 @@ def test_levels_store_two_entry_arrays_and_derive_global_ids(ranks):
             own, want = _stencil_gids(lv.domain, lv.coloring.perm)
             for A in (lv.A_hi, lv.A_lo):
                 n, width = A.n_rows, A.width
+                stored = -(-n // 256) * 256 * width
                 big = {f.name for f in fields(A)
                        if isinstance(getattr(A, f.name), np.ndarray)
-                       and getattr(A, f.name).size == n * width}
-                assert big == {"values", "col_idx"}
+                       and getattr(A, f.name).size == stored}
+                assert big == {"chunk_values", "chunk_cols"}
                 assert A.n_cols_extended == len(A.col_gid)
                 pad = padding_mask(A)
                 assert np.array_equal(np.where(pad, -1, A.col_global), want)
@@ -179,7 +181,15 @@ def test_levels_store_two_entry_arrays_and_derive_global_ids(ranks):
     assert RankWorld(ranks).run(worker) == [3] * ranks
 
 
-def test_kernel_sets_pack_the_rows_they_name():
+def _packs(chunks, n, want):
+    """True if the SELL ``chunks`` hold the rows ``want`` of n, then padding
+    rows of zeros."""
+    rows = from_chunks(chunks)
+    return (len(rows) == -(-n // 256) * 256 and np.array_equal(rows[:n], want)
+            and not rows[n:].any())
+
+
+def test_kernel_sets_pack_the_rows_they_name_in_chunks():
     gp = GlobalProblem.from_local(4, 4, 4, 2)
 
     def worker(world, rank):
@@ -193,20 +203,42 @@ def test_kernel_sets_pack_the_rows_they_name():
             vals, cols, rows = dot.arrays
             assert np.array_equal(
                 rows, np.flatnonzero((A.col_idx >= A.n_rows).any(axis=1)))
-            assert np.array_equal(vals, A.values[rows])
-            assert np.array_equal(cols, A.col_idx[rows])
+            assert _packs(vals, len(rows), A.values[rows])
+            assert _packs(cols, len(rows), A.col_idx[rows])
             assert all(a is b for a, b in zip(relax0.arrays, dot.arrays))
             assert relax0.n_blocks == 1
             assert list(relax0.arrays[-1]) == [0, np.sum(rows < color0)]
             f2c, dot, nnz = A.sets.restrict
             vals, cols, _ = dot.arrays
             assert f2c is coarse.f2c
-            assert np.array_equal(vals, A.values[f2c])
-            assert np.array_equal(cols, A.col_idx[f2c])
+            assert _packs(vals, len(f2c), A.values[f2c])
+            assert _packs(cols, len(f2c), A.col_idx[f2c])
             assert nnz == A.row_nnz[f2c].sum()
         return True
 
     assert RankWorld(2).run(worker) == [True, True]
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (16, 16, 17)])
+def test_generate_matrix_writes_sell_chunks(shape):
+    # 64 rows fill part of one chunk; 4,352 rows are 17 chunks, the last
+    # one full.  The derived n x 27 arrays read the same entries.
+    A = generate_matrix(GlobalProblem.from_local(*shape, 1).domain(0))
+    for chunks, derived in ((A.chunk_values, A.values),
+                            (A.chunk_cols, A.col_idx)):
+        assert chunks.shape == (-(-A.n_rows // 256), A.width, 256)
+        assert _packs(chunks, A.n_rows, derived)
+        assert derived.shape == (A.n_rows, A.width)
+    assert np.array_equal(A.col_global, A.col_gid[A.col_idx])
+
+
+def test_derived_entry_arrays_refuse_writes():
+    A = _single_rank(4, 4, 4)
+    for name in ("values", "col_idx", "col_global"):
+        derived = getattr(A, name)
+        with pytest.raises(ValueError, match="read-only"):
+            derived[0, A.diag_pos[0]] = 0
+    assert A.values[0, A.diag_pos[0]] == 26.0
 
 
 def test_matrix_market_output(tmp_path):
@@ -235,7 +267,7 @@ def test_matrix_market_output(tmp_path):
 def test_row_dot_adds_slots_in_order(n_rows, dtype, order):
     # Non-integer products make any other summation order show in the low
     # bits, and tobytes() tells -0.0 from +0.0 where array_equal does not.
-    # Stored matrices are column-major; the kernel must not depend on it.
+    # The helper packs either layout into SELL chunks for the kernel.
     rng = np.random.default_rng(n_rows)
     for draw in range(max(1, 200 // n_rows)):
         vals = np.asarray(rng.standard_normal((n_rows, 27)), dtype, order=order)

@@ -129,8 +129,9 @@ def test_overlapped_matches_blocking_on_8_ranks():
 
 def test_zero_diagonal_rejected():
     # Set-up refuses it, before any sweep could divide by it.
-    A = ell_from_dense(np.array([[1.0, 1.0], [1.0, 2.0]]))
-    A.values[0, A.diag_pos[0]] = 0.0        # structurally present, zero value
+    # structurally present, zero value
+    A = ell_from_dense(np.array([[0.0, 1.0], [1.0, 2.0]]),
+                       pattern=np.ones((2, 2), dtype=bool))
     with pytest.raises(SingularDiagonal):
         with_sets(A, identity_coloring(A.n_rows))
 
