@@ -277,10 +277,10 @@ def _assemble_report(cfg, val, parts):
                "iterations": {"mxp": parts[0]["iters_mxp"],
                               "double": parts[0]["iters_dbl"]}}
 
-    model, flags = kernels.CPU
     return {"config": asdict(cfg),
             "machine": {"kernel_cflags": list(kernels.CFLAGS),
-                        "cpu_model": model, "cpu_flags": flags},
+                        **{f"cpu_{k}": v
+                           for k, v in kernels.CPU._asdict().items()}},
             "validation": val,
             "mxp": mxp,
             "double": dbl,

@@ -19,7 +19,6 @@ from .problem import EllMatrix, chunked, take_rows
 
 @dataclass
 class Coloring:
-    color: np.ndarray          # color id per row, in the pre-reorder row order
     num_colors: int
     color_offsets: np.ndarray  # block start per color after reordering; len nc+1
     perm: np.ndarray           # new row -> old row
@@ -92,8 +91,8 @@ def color(domain, strategy="greedy", seed=0):
     perm = np.lexsort((np.arange(n), colors))  # stable (color, original index)
     iperm = np.empty_like(perm)
     iperm[perm] = np.arange(n)
-    return Coloring(color=colors, num_colors=num_colors, color_offsets=offsets,
-                    perm=perm, iperm=iperm)
+    return Coloring(num_colors=num_colors, color_offsets=offsets, perm=perm,
+                    iperm=iperm)
 
 
 def permute_system(A, coloring):

@@ -2,11 +2,14 @@
 
 Ranks are in-process threads connected by per-pair FIFO mailboxes — the same
 message structure a neighborhood-and-allreduce MPI program would have, minus
-the network.  Halo messages and collectives share the mailboxes: a collective
-posts its value to every other rank, then takes one value from each rank in
-ascending rank order.  Global sums are accumulated in that order on every
-rank, so a run with a fixed rank count is bitwise reproducible; sums across
-DIFFERENT rank counts are not promised to match (documented, not a bug).
+the network.  Each rank runs on one thread, ``rank-{r}``, which starts with
+its world and lives as long as it: ``RankWorld.run`` hands every thread one
+task and waits for all of them, and starts no thread.  Halo messages and
+collectives share the mailboxes: a collective posts its value to every other
+rank, then takes one value from each rank in ascending rank order.  Global
+sums are accumulated in that order on every rank, so a run with a fixed rank
+count is bitwise reproducible; sums across DIFFERENT rank counts are not
+promised to match (documented, not a bug).
 
 Ranks drifting out of step is a programming error and surfaces as
 ProtocolError rather than a hang or silent corruption: every message carries
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +42,15 @@ _RECV_TIMEOUT = 300.0
 _ABORT = object()   # the abort marker, posted in place of a message
 
 
+def _serve(tasks, done):
+    """A rank thread: run each ``(work, rank)`` posted until None, holding no
+    task, so no reference to its world, between tasks."""
+    while (task := tasks.get()) is not None:
+        task[0](task[1])
+        del task
+        done.put(None)
+
+
 class RankWorld:
     """A fixed-size set of rank workers joined by per-pair FIFO mailboxes."""
 
@@ -49,6 +62,12 @@ class RankWorld:
                        for s in range(nranks) for d in range(nranks) if s != d}
         self._send_seq = {pair: 0 for pair in self._boxes}
         self._recv_seq = {pair: 0 for pair in self._boxes}
+        self._tasks = [queue.SimpleQueue() for _ in range(nranks)]
+        self._done = queue.SimpleQueue()
+        for r, tasks in enumerate(self._tasks):
+            threading.Thread(target=_serve, args=(tasks, self._done),
+                             name=f"rank-{r}", daemon=True).start()
+            weakref.finalize(self, tasks.put, None)   # stops the thread
 
     # -- point to point ----------------------------------------------------
 
@@ -105,18 +124,14 @@ class RankWorld:
             acc = acc + v
         return acc
 
-    def gather(self, rank, value):
-        """Collect every rank's value at rank 0 (list indexed by rank)."""
-        vals = self._collect(rank, "gather", value)
-        return vals if rank == 0 else None
-
     # -- lifecycle -----------------------------------------------------------
 
     def run(self, fn, *args, **kwargs):
         """Run ``fn(world, rank, *args, **kwargs)`` on every rank; return results.
 
-        After all workers stop, the first failure by rank id is re-raised,
-        passing over ranks that only stopped waiting because another failed.
+        Each rank runs on its own thread.  After all ranks finish, the first
+        failure by rank id is re-raised, passing over ranks that only stopped
+        waiting because another failed.
         """
         results = [None] * self.nranks
         errors = [None] * self.nranks
@@ -130,12 +145,10 @@ class RankWorld:
                     for box in self._boxes.values():
                         box.put(_ABORT)
 
-        threads = [threading.Thread(target=work, args=(r,), name=f"rank-{r}")
-                   for r in range(self.nranks)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        for r, tasks in enumerate(self._tasks):
+            tasks.put((work, r))
+        for _ in range(self.nranks):
+            self._done.get()
         failed = [e for e in errors if e is not None]
         if failed:
             raise next((e for e in failed if not isinstance(e, _Aborted)), failed[0])

@@ -18,10 +18,10 @@ multiply-add would change bits.
 The source is compiled once with the system ``cc``, for the host CPU
 (``-march=native``), into
 ``${XDG_CACHE_HOME:-~/.cache}/mxpbench/kernels-<sha256>.so``, the hash
-covering the source, the flags and the CPU's model and feature flags
-(``CPU``), so a cache shared between machines never loads a library built
-for another instruction set.  The library is written under a temporary
-name and renamed into place, so concurrent first imports are safe.
+covering the source, the flags and the CPU's model name, feature flags,
+family and model number (``CPU``), so a cache shared between machines never
+loads a library built for another CPU.  The library is written under a
+temporary name and renamed into place, so concurrent first imports are safe.
 Without a C compiler the import fails; there is no other kernel.
 
 A row set (``row_set``, ``relax_set``) holds its C arguments as ints and
@@ -111,9 +111,13 @@ ROW_KERNELS(float, f32)
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+# The CPU that ``-march=native`` builds for, as /proc/cpuinfo names it.
+Cpu = NamedTuple("Cpu", [("model", str), ("flags", str), ("family", str),
+                         ("model_number", str)])
+
+
 def _host_cpu():
-    """(model, feature flags) of the CPU that ``-march=native`` builds for:
-    the first processor of /proc/cpuinfo, or the machine name alone."""
+    """The first processor of /proc/cpuinfo, or the machine name alone."""
     try:
         with open("/proc/cpuinfo") as f:
             first = f.read().split("\n\n", 1)[0]
@@ -121,8 +125,9 @@ def _host_cpu():
         first = ""
     info = dict(map(str.strip, line.split(":", 1))
                 for line in first.splitlines() if ":" in line)
-    return (info.get("model name") or os.uname().machine,
-            info.get("flags") or info.get("Features", ""))
+    return Cpu(info.get("model name") or os.uname().machine,
+               info.get("flags") or info.get("Features", ""),
+               info.get("cpu family", ""), info.get("model", ""))
 
 
 CPU = _host_cpu()

@@ -22,13 +22,12 @@ Double mode never stalls, so it never recycles.
 
 Replicated state (H, t, the rotation arrays and the recycle pair's small
 matrices) is updated redundantly on every rank from reduction results that are
-identical everywhere, so it stays bitwise identical across ranks — a debug
-mode checks that every step.
+identical everywhere, so it stays bitwise identical across ranks; the tests
+check that after every step.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,7 @@ from . import kernels
 
 # ``exchange`` stays bound here, unused: perfbench/test_perfbench.py checks
 # that its tracer wraps ``krylov.exchange``.
-from .comm import (ProtocolError, exchange,  # noqa: F401
-                   exchange_overlapped, reduce_sum)
+from .comm import exchange, exchange_overlapped, reduce_sum  # noqa: F401
 
 # A mixed inner cycle ends once its float32 recurrence norm falls below this
 # multiple of eps32 times the cycle's starting true residual.  Past that point
@@ -223,23 +221,9 @@ def _back_substitute(H, t, k):
     return y
 
 
-def _assert_replicated(world, rank, ws):
-    """Debug guard: replicated solver state must agree bitwise across ranks."""
-    digest = hashlib.sha256()
-    arrays = [ws.H, ws.t, ws.c, ws.s]
-    if ws.recycle is not None:
-        rp = ws.recycle
-        arrays += [rp.B, rp.QG, rp.RG, rp.ctr]
-    for arr in arrays:
-        digest.update(arr.tobytes())
-    digests = world.gather(rank, digest.hexdigest())
-    if rank == 0 and len(set(digests)) != 1:
-        raise ProtocolError(f"replicated solver state diverged: {digests}")
-
-
 def gmres_solve(A_hi, A_lo, precond, b, x0, mode="double", tol=1e-9,
                 max_iters=300, m=30, plan=None, world=None, rank=0, *,
-                tally, debug_replication=False):
+                tally):
     """Right-preconditioned restarted GMRES; restarts double as refinement steps.
 
     Every outer pass recomputes r = b - A x in float64, tests ||r||/||b||
@@ -366,8 +350,6 @@ def gmres_solve(A_hi, A_lo, precond, b, x0, mode="double", tol=1e-9,
             except BreakdownError:
                 broke_down = True
                 break
-            if debug_replication and world is not None:
-                _assert_replicated(world, rank, ws)
             k += 1
             total += 1
 

@@ -5,8 +5,8 @@ count equally.  Counting rules (n = vector length, k = basis columns,
 nnz = stored nonzeros, n_c = coarse rows):
 
     spmv            2*nnz                     gs_sweep      2*nnz
-    dot             2*n                       norm          2*n
-    scale           n                         vsub / vadd   n
+    norm            2*n                       scale         n
+    vsub / vadd     n
     cgs2            8*n*k + 2*n   (two projection passes, two corrections)
     gemv_update     2*n*k         (basis combination at a cycle end)
     restrict_fused  2*nnz + n_c   (nnz over the injected rows only)
@@ -43,9 +43,6 @@ _KERNELS = {
     "gs_sweep": ("GS",
                  lambda nnz, n: 2 * nnz,
                  lambda w, nnz, n: nnz * (w + 4) + 3 * n * w),
-    "dot": ("Vector ops",
-            lambda n: 2 * n,
-            lambda w, n: 2 * n * w),
     "norm": ("Vector ops",
              lambda n: 2 * n,
              lambda w, n: n * w),

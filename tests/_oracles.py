@@ -8,6 +8,11 @@ same way a count by hand would: one for every add/subtract/multiply/
 divide actually performed (fused pairs count as two).
 """
 
+import hashlib
+import threading
+from contextlib import contextmanager
+from itertools import zip_longest
+
 import numpy as np
 
 
@@ -299,9 +304,16 @@ def owned_neighbors(A):
     return np.where((cols < n) & (cols != np.arange(n)[:, None]), cols, n)
 
 
+def colors_of(coloring):
+    """Color id per row in the pre-reorder row order, from the color blocks."""
+    nc = coloring.num_colors
+    return np.repeat(np.arange(nc), np.diff(coloring.color_offsets))[
+        coloring.iperm]
+
+
 def check_coloring(A, coloring):
     """True iff no two locally coupled rows share a color."""
-    c = np.append(coloring.color, -1)    # the sentinel n matches no color
+    c = np.append(colors_of(coloring), -1)   # the sentinel n matches no color
     return not np.any(c[owned_neighbors(A)] == c[:-1, None])
 
 
@@ -404,7 +416,7 @@ def identity_coloring(n):
     """Single-color trivial ordering (a fixture; invalid for coupled rows)."""
     from mxpbench.coloring import Coloring
 
-    return Coloring(color=np.zeros(n, dtype=np.int32), num_colors=1,
+    return Coloring(num_colors=1,
                     color_offsets=np.array([0, n], dtype=np.int64),
                     perm=np.arange(n), iperm=np.arange(n))
 
@@ -464,3 +476,63 @@ def ell_from_dense(D, pattern=None):
                      chunk_cols=chunked(col_idx),
                      col_gid=np.arange(n), row_nnz=row_nnz,
                      diag_pos=diag_pos, nnz_total=int(row_nnz.sum()))
+
+
+# -- replicated GMRES state ----------------------------------------------------
+
+
+@contextmanager
+def replication_digests():
+    """Digest GMRES's replicated state on every rank after every step.
+
+    Wraps ``krylov.cgs2_orthogonalize``, which names a step's rank and its
+    recycle pair, and ``krylov.givens_update``, which ends the step.  After
+    each rotation that succeeds, the rank's list gains the sha256 of H, t,
+    c and s and, with a recycle pair, of its B, QG, RG and ctr.  Yields
+    rank -> digests, in step order over every solve run inside the block.
+    """
+    from mxpbench import krylov
+
+    digests = {}
+    step = threading.local()
+    cgs2, givens = krylov.cgs2_orthogonalize, krylov.givens_update
+
+    def cgs2_noting_the_step(Q, k, w, H, world=None, rank=0, *, tally,
+                             recycle=None):
+        step.rank, step.recycle = rank, recycle
+        return cgs2(Q, k, w, H, world, rank, tally=tally, recycle=recycle)
+
+    def givens_digesting(H, t, c, s, k):
+        rec = givens(H, t, c, s, k)
+        arrays = [H, t, c, s]
+        rp = step.recycle
+        if rp is not None:
+            arrays += [rp.B, rp.QG, rp.RG, rp.ctr]
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(a.tobytes())
+        digests.setdefault(step.rank, []).append(h.hexdigest())
+        return rec
+
+    krylov.cgs2_orthogonalize = cgs2_noting_the_step
+    krylov.givens_update = givens_digesting
+    try:
+        yield digests
+    finally:
+        krylov.cgs2_orthogonalize, krylov.givens_update = cgs2, givens
+
+
+def first_divergence(digests):
+    """The first step at which the ranks' digests differ, or None."""
+    for i, step in enumerate(zip_longest(*digests.values())):
+        if len(set(step)) != 1:
+            return i
+    return None
+
+
+def assert_replicated(digests, nranks):
+    """Every rank recorded the same digests, at every step."""
+    assert sorted(digests) == list(range(nranks))
+    assert digests[0]
+    step = first_divergence(digests)
+    assert step is None, f"replicated solver state diverged at step {step}"

@@ -20,7 +20,8 @@ from mxpbench.comm import ProtocolError, RankWorld
 from mxpbench.krylov import gmres_solve
 from mxpbench.metrics import MOTIFS, Tally
 
-from _oracles import dense_stencil_3d, strip_timing
+from _oracles import (assert_replicated, dense_stencil_3d, replication_digests,
+                      strip_timing)
 
 
 def _tiny_cfg(**overrides):
@@ -128,8 +129,7 @@ def _frozen_worker(world, rank, cfg):
         res = gmres_solve(lv.A_hi, lv.A_lo, lambda r: hier.apply(r, Tally()),
                           b, x0=x, mode=mode, tol=cfg.tol,
                           max_iters=cfg.max_iters, m=cfg.restart, plan=lv.plan,
-                          world=world, rank=rank, tally=Tally(),
-                          debug_replication=world is not None)
+                          world=world, rank=rank, tally=Tally())
         out.append((x, res.iterations))
     return out
 
@@ -138,8 +138,10 @@ def _frozen_worker(world, rank, cfg):
 def test_solutions_are_bitwise_the_frozen_ones(ranks, local, levels):
     cfg = BenchConfig(local_nx=local, local_ny=local, local_nz=local,
                       ranks=ranks, mg_levels=levels)
-    parts = (RankWorld(ranks).run(_frozen_worker, cfg) if ranks > 1
-             else [_frozen_worker(None, 0, cfg)])
+    with replication_digests() as digests:
+        parts = (RankWorld(ranks).run(_frozen_worker, cfg) if ranks > 1
+                 else [_frozen_worker(None, 0, cfg)])
+    assert_replicated(digests, ranks)   # at every step of both solves
     got = tuple(
         (hashlib.sha256(np.concatenate([p[k][0] for p in parts]).tobytes())
          .hexdigest()[:16], parts[0][k][1])
@@ -185,8 +187,10 @@ def test_report_structure():
     assert set(report) == {"config", "machine", "validation", "mxp", "double",
                            "summary"}
     assert report["machine"] == {"kernel_cflags": list(kernels.CFLAGS),
-                                 "cpu_model": kernels.CPU[0],
-                                 "cpu_flags": kernels.CPU[1]}
+                                 "cpu_model": kernels.CPU.model,
+                                 "cpu_flags": kernels.CPU.flags,
+                                 "cpu_family": kernels.CPU.family,
+                                 "cpu_model_number": kernels.CPU.model_number}
     assert set(report["validation"]) == {"mode", "n_d", "n_ir", "ratio",
                                          "residual", "restarts",
                                          "boundary_pairs"}

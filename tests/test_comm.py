@@ -1,6 +1,8 @@
 """Thread-backed rank world: collectives, halo plans, exchanges."""
 
+import gc
 import sys
+import threading
 import time
 
 import numpy as np
@@ -107,21 +109,12 @@ def test_mailboxes_keep_fifo_and_rank_order_under_load():
     assert outs == [0, 0]
 
 
-def test_gather_collects_in_rank_order():
-    def worker(world, rank):
-        return world.gather(rank, rank * rank)
-
-    outs = RankWorld(4).run(worker)
-    assert outs[0] == [0, 1, 4, 9]
-    assert outs[1] is None and outs[3] is None
-
-
 def test_run_propagates_worker_exception():
     def worker(world, rank):
-        world.gather(rank, rank)
+        world.all_reduce_sum(rank, rank)
         if rank == 2:
             raise ValueError("rank 2 exploded")
-        world.gather(rank, rank)   # others left waiting -> abort path
+        world.all_reduce_sum(rank, rank)   # others left waiting -> abort path
         return rank
 
     with pytest.raises(ValueError, match="rank 2 exploded"):
@@ -129,18 +122,51 @@ def test_run_propagates_worker_exception():
 
 
 def test_mismatched_collectives_raise_on_every_rank():
+    # Ranks 0 and 2 enter a collective while rank 1 exchanges halo messages
+    # with both; each rank meets a message of the other kind and raises.
     def worker(world, rank):
         try:
-            if rank == 0:
-                world.all_reduce_sum(rank, 1.0)
+            if rank == 1:
+                world.send(1, 0, 1.0)
+                world.send(1, 2, 1.0)
+                world.recv(1, 0)
             else:
-                world.gather(rank, 1.0)
+                world.all_reduce_sum(rank, 1.0)
         except ProtocolError as exc:
             return str(exc)
         return "returned"
 
-    outs = RankWorld(2).run(worker)
+    outs = RankWorld(3).run(worker)
     assert all("different collectives" in o for o in outs)
+
+
+def _current_thread(world, rank):
+    return threading.current_thread()
+
+
+def test_each_rank_runs_on_one_named_thread_across_runs():
+    world = RankWorld(3)
+    first = world.run(_current_thread)
+    assert world.run(_current_thread) == first     # the same Thread objects
+    assert [t.name for t in first] == ["rank-0", "rank-1", "rank-2"]
+    assert len(set(first)) == 3 and threading.current_thread() not in first
+
+
+def test_run_starts_no_thread():
+    world = RankWorld(3)
+    before = threading.active_count()
+    world.run(_current_thread)
+    assert threading.active_count() == before
+
+
+def test_a_discarded_world_stops_its_threads():
+    world = RankWorld(3)
+    threads = world.run(_current_thread)
+    del world
+    gc.collect()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_halo_message_meeting_a_collective_raises_at_once(monkeypatch):

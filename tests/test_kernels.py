@@ -1,6 +1,7 @@
 """The C row kernels: built once into the cache, and bitwise equal to the
 sequential oracles on every level of a real hierarchy."""
 
+import io
 import os
 import subprocess
 import sys
@@ -72,18 +73,49 @@ def test_import_without_a_c_compiler_names_it(tmp_path):
 
 def test_library_path_covers_the_host_cpu(monkeypatch):
     # A cache shared between hosts keeps one library per CPU: another model
-    # or another set of feature flags names another file, and naming it
-    # compiles nothing.
-    model, flags = kernels.CPU
-    assert model
+    # name, set of feature flags, family or model number names another file,
+    # and naming it compiles nothing.
+    cpu = kernels.CPU
+    assert cpu.model
     here = kernels._library_path()
     assert here.exists()                    # the library this process loaded
     others = []
-    for cpu in ((model + " (another)", flags), (model, flags + " avx10")):
-        monkeypatch.setattr(kernels, "CPU", cpu)
+    for other in (cpu._replace(model=cpu.model + " (another)"),
+                  cpu._replace(flags=cpu.flags + " avx10"),
+                  cpu._replace(family=cpu.family + "0"),
+                  cpu._replace(model_number=cpu.model_number + "0")):
+        monkeypatch.setattr(kernels, "CPU", other)
         others.append(kernels._library_path())
-    assert len({here, *others}) == 3
+    assert len({here, *others}) == 5
     assert all(p.parent == here.parent and not p.exists() for p in others)
+
+
+_CPUINFO = """processor\t: {cpu}
+vendor_id\t: GenuineIntel
+cpu family\t: 6
+model\t\t: {model}
+model name\t: Intel(R) Xeon(R) Processor
+flags\t\t: fpu sse2 avx512f
+"""
+
+
+def test_cpus_that_differ_only_in_model_number_get_their_own_library(
+        monkeypatch):
+    # Two hosts report the same model name and flags; -march=native may still
+    # resolve to another target on each, so the model number keys the cache.
+    paths = []
+    for model in ("143", "207"):
+        text = (_CPUINFO.format(cpu=0, model=model) + "\n"
+                + _CPUINFO.format(cpu=1, model="1"))
+        monkeypatch.setattr(kernels, "open",
+                            lambda *a, text=text, **k: io.StringIO(text),
+                            raising=False)
+        cpu = kernels._host_cpu()
+        assert cpu == kernels.Cpu("Intel(R) Xeon(R) Processor",
+                                  "fpu sse2 avx512f", "6", model)
+        monkeypatch.setattr(kernels, "CPU", cpu)
+        paths.append(kernels._library_path())
+    assert paths[0] != paths[1]
 
 
 def test_host_cpu_falls_back_to_the_machine_name(monkeypatch):
@@ -91,7 +123,7 @@ def test_host_cpu_falls_back_to_the_machine_name(monkeypatch):
         raise FileNotFoundError(path)
 
     monkeypatch.setattr(kernels, "open", missing, raising=False)
-    assert kernels._host_cpu() == (os.uname().machine, "")
+    assert kernels._host_cpu() == (os.uname().machine, "", "", "")
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,13 @@
 """Tests for the GMRES solver and its dense/sparse kernels."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+from mxpbench import bench, krylov
+from mxpbench.bench import BenchConfig
 from mxpbench.coloring import color
 from mxpbench.comm import RankWorld, build_halo_plan, exchange
 from mxpbench.geometry import GlobalProblem
@@ -23,7 +26,8 @@ from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import generate_matrix, generate_rhs, to_low_precision
 from mxpbench.smoother import SmootherWorkspace
 
-from _oracles import oracle_cols, seq_spmv, with_sets
+from _oracles import (first_divergence, oracle_cols, replication_digests,
+                      seq_spmv, with_sets)
 
 
 def _single_rank_system(nx, ny, nz):
@@ -416,3 +420,35 @@ def test_double_solution_is_bitwise_unchanged(desk):
     assert res.iterations == 16
     assert hashlib.sha256(x.tobytes()).hexdigest() == (
         "b4a158d247c7f07ceb44ba73395c6e4531ba7fbe7d6a325fa0fe0d0f0a8490b0")
+
+
+def test_replication_oracle_reports_the_step_where_one_rank_diverges(
+        monkeypatch):
+    # At its fourth step rank 1 writes H[k+1, k], which the rotation has just
+    # zeroed and nothing reads again in the cycle: the solve is unchanged,
+    # but from that step on the two ranks' replicated state differs.
+    givens = krylov.givens_update
+    steps = []
+
+    def perturbing_rank_1(H, t, c, s, k):
+        rec = givens(H, t, c, s, k)
+        if threading.current_thread().name == "rank-1":
+            steps.append(k)
+            if len(steps) == 4:
+                H[k + 1, k] = 1.0
+        return rec
+
+    monkeypatch.setattr(krylov, "givens_update", perturbing_rank_1)
+    cfg = BenchConfig(local_nx=8, local_ny=8, local_nz=8, ranks=2,
+                      mg_levels=3)
+
+    def worker(world, rank):
+        hier, b = bench._build_state(cfg, 2, world, rank)
+        return bench._solve(cfg, hier, b, "mixed", cfg.tol, cfg.max_iters,
+                            Tally()).iterations
+
+    with replication_digests() as digests:
+        iterations = RankWorld(2).run(worker)
+    assert iterations[0] == iterations[1] > 4
+    assert len(digests[0]) == len(digests[1]) == iterations[0]
+    assert first_divergence(digests) == 3

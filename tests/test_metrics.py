@@ -58,7 +58,6 @@ def test_penalty_rejects_degenerate_counts():
 def test_count_flops_basic_kernels():
     assert count_flops("spmv", nnz=1000, n=100) == 2000
     assert count_flops("gs_sweep", nnz=1000, n=100) == 2000
-    assert count_flops("dot", n=512) == 1024
     assert count_flops("norm", n=512) == 1024
     assert count_flops("scale", n=512) == 512
     assert count_flops("vsub", n=512) == 512
@@ -83,7 +82,7 @@ def test_kernel_motif_buckets():
     assert kernel_motif("gemv_update") == "Ortho"
     assert kernel_motif("restrict_fused") == "Restriction"
     assert kernel_motif("prolong_add") == "Prolongation"
-    assert kernel_motif("dot") == "Vector ops"
+    assert kernel_motif("norm") == "Vector ops"
 
 
 def test_spmv_low_to_high_byte_ratio():
@@ -127,7 +126,7 @@ def test_sequential_kernels_agree_with_frozen_flop_model():
     assert f == count_flops("gs_sweep", nnz=A.nnz_total, n=n)
 
     _, f = seq_dot(x[:n], b)
-    assert f == count_flops("dot", n=n)
+    assert f == count_flops("norm", n=n)
 
     k = 4
     rng = np.random.default_rng(3)
@@ -162,7 +161,7 @@ def test_tally_accumulates_by_motif():
     t = Tally()
     t.add("spmv", np.float64, nnz=100, n=10)
     t.add("spmv", np.float32, nnz=100, n=10)
-    t.add("dot", np.float64, n=10)
+    t.add("norm", np.float64, n=10)
     assert t.flops["SpMV"] == 400
     assert t.flops["Vector ops"] == 20
     # Bytes depend on the value width, flops do not.
