@@ -13,6 +13,11 @@ The report carries per-motif seconds / flops / GFLOP/s for both timed
 phases plus a summary whose mixed-precision total is penalized by
 min(1, n_d / n_ir), the iteration count of every timed solve, and the
 compiler flags and host CPU the row kernels were built for.
+
+``BenchConfig`` holds only what a run can change; the command line takes
+each of its defaults from ``BenchConfig()``.  Fixed for every run: one pre-,
+post- and coarsest-level Gauss-Seidel sweep, and at most
+``VALIDATION_MAX_ITERS`` iterations per validation solve.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from . import kernels
 from .comm import ProtocolError, RankWorld, reduce_sum
 from .geometry import CoarseningError, GlobalProblem
 from .krylov import gmres_solve
-from .metrics import MOTIFS, Tally, gflops, penalty_factor, sum_motif_dicts
+from .metrics import MOTIFS, Tally, gflops, penalty_factor
 from .multigrid import build_hierarchy
 from .problem import generate_matrix, generate_rhs, write_matrix_market
 from .smoother import SmootherWorkspace
@@ -49,11 +54,12 @@ class ValidationError(Exception):
 VALIDATION_MODES = ("standard", "fullscale")
 COLORING_STRATEGIES = ("greedy", "jpl")
 MAX_RANKS = 512   # RankWorld(n) makes n * (n - 1) mailboxes: 107 MB at 512
+VALIDATION_MAX_ITERS = 10_000   # iteration cap of each validation solve
 
 
 @dataclass
 class BenchConfig:
-    """All knobs of a benchmark run (defaults are the desk-scale settings)."""
+    """The settings of a benchmark run (defaults are the desk-scale ones)."""
 
     local_nx: int = 16
     local_ny: int = 16
@@ -62,15 +68,11 @@ class BenchConfig:
     restart: int = 30           # GMRES restart length m
     tol: float = 1e-9           # relative residual target
     max_iters: int = 300        # per-solve cap in the timed phases
-    nd_cap: int = 10000         # iteration cap for the validation solves
     time_seconds: float = 5.0   # wall-time budget of the mxp phase
     validation_mode: str = "standard"
     coloring: str = "greedy"
     seed: int = 0
     mg_levels: int = 4
-    nu1: int = 1                # pre-smoothing sweeps
-    nu2: int = 1                # post-smoothing sweeps
-    nu_c: int = 1               # coarsest-level sweeps
 
     def validate(self):
         if self.mg_levels < 1:
@@ -92,8 +94,8 @@ class BenchConfig:
             raise ConfigError("restart length must be at least 1")
         if not 0 < self.tol < 1:
             raise ConfigError(f"tol = {self.tol} must lie in (0, 1)")
-        if self.max_iters < 1 or self.nd_cap < 1:
-            raise ConfigError("iteration caps must be at least 1")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be at least 1")
         if not 0 <= self.time_seconds < float("inf"):
             raise ConfigError("time_seconds must be finite and non-negative")
         if self.validation_mode not in VALIDATION_MODES:
@@ -103,11 +105,10 @@ class BenchConfig:
             raise ConfigError(f"unknown coloring strategy {self.coloring!r}")
         if self.seed < 0:
             raise ConfigError(f"seed = {self.seed} must be non-negative")
-        if min(self.nu1, self.nu2, self.nu_c) < 1:
-            raise ConfigError("smoothing sweep counts must be at least 1")
 
     def sweeps(self):
-        return SmootherWorkspace(nu1=self.nu1, nu2=self.nu2, nu_c=self.nu_c)
+        """The sweep counts of every run: one each."""
+        return SmootherWorkspace()
 
 
 # -- shared per-rank setup ----------------------------------------------------
@@ -119,8 +120,7 @@ def _build_state(cfg, nranks, world, rank):
                                   nranks)
     dom = gp.domain(rank)
     hier = build_hierarchy(dom, cfg.mg_levels, world, rank,
-                           strategy=cfg.coloring, seed=cfg.seed,
-                           sweeps=cfg.sweeps())
+                           strategy=cfg.coloring, seed=cfg.seed)
     return hier, generate_rhs(hier.levels[0].A_hi).b
 
 
@@ -142,18 +142,21 @@ def _solve(cfg, hier, b, mode, tol, max_iters, tally):
 def _validation_worker(world, rank, cfg, nranks):
     state = _build_state(cfg, nranks, world, rank)
     hier, b = state
-    dres = _solve(cfg, hier, b, "double", cfg.tol, cfg.nd_cap, Tally())
+    dres = _solve(cfg, hier, b, "double", cfg.tol, VALIDATION_MAX_ITERS,
+                  Tally())
     if cfg.validation_mode == "standard":
         if not dres.converged:
             raise ValidationError(
                 f"double GMRES did not reach {cfg.tol:g} within "
-                f"{cfg.nd_cap} iterations (relres {dres.relres:.3e})")
+                f"{VALIDATION_MAX_ITERS} iterations "
+                f"(relres {dres.relres:.3e})")
         target = cfg.tol
     else:
         # Full-scale rule: the double solve runs to min(cap, tol) and the
         # achieved residual becomes the mixed solve's target.
         target = dres.relres if not dres.converged else cfg.tol
-    mres = _solve(cfg, hier, b, "mixed", target, cfg.nd_cap, Tally())
+    mres = _solve(cfg, hier, b, "mixed", target, VALIDATION_MAX_ITERS,
+                  Tally())
     return dres, mres, state
 
 
@@ -179,15 +182,15 @@ def _validate(cfg, world=None):
     return val, states
 
 
-def run_validation(cfg, world=None):
+def run_validation(cfg):
     """Phase 1: measure n_d and n_ir on the validation problem.
 
     ``standard`` solves the per-rank problem on one rank; ``fullscale``
-    uses all ranks and the full problem, on ``world`` when one is given.
-    ``restarts`` and ``boundary_pairs`` (recurrence and true residual norm
-    at each restart) describe the mixed solve.
+    uses all ranks and the full problem.  ``restarts`` and
+    ``boundary_pairs`` (recurrence and true residual norm at each restart)
+    describe the mixed solve.
     """
-    return _validate(cfg, world)[0]
+    return _validate(cfg)[0]
 
 
 # -- phases 2 and 3: timed solves ---------------------------------------------
@@ -222,25 +225,19 @@ def _bench_worker(world, rank, cfg, states=None):
     return {"reps": reps,
             "iters_mxp": iters_mxp,
             "iters_dbl": iters_dbl,
-            "mxp": {"flops": dict(tally_mxp.flops),
-                    "bytes": dict(tally_mxp.bytes),
-                    "seconds": dict(tally_mxp.seconds)},
-            "double": {"flops": dict(tally_dbl.flops),
-                       "bytes": dict(tally_dbl.bytes),
-                       "seconds": dict(tally_dbl.seconds)}}
+            "mxp": tally_mxp,
+            "double": tally_dbl}
 
 
 def _phase_block(parts, phase):
-    """Aggregate one timed phase: flops and modelled bytes summed over
-    ranks, rank-0 seconds."""
-    flops = sum_motif_dicts([p[phase]["flops"] for p in parts])
-    nbytes = sum_motif_dicts([p[phase]["bytes"] for p in parts])
-    seconds = parts[0][phase]["seconds"]
+    """Aggregate one timed phase from each rank's ``Tally``: flops and
+    modelled bytes summed over ranks, rank-0 seconds."""
+    tallies = [p[phase] for p in parts]
     block = {}
     for motif in MOTIFS:
-        f = flops[motif]
-        nb = nbytes[motif]
-        s = seconds[motif]
+        f = sum(t.flops[motif] for t in tallies)
+        nb = sum(t.bytes[motif] for t in tallies)
+        s = tallies[0].seconds[motif]
         block[motif] = {"seconds": s,
                         "flops": f,
                         "gflops": gflops(f, s) if s > 0 else 0.0,
@@ -339,37 +336,46 @@ def _writing(path):
 
 
 def _build_parser():
+    """Flags for every ``BenchConfig`` field but ``mg_levels``, each with the
+    field's name as its ``dest`` and its value in ``BenchConfig()`` as its
+    default, plus the two output paths."""
+    d = BenchConfig()
     p = argparse.ArgumentParser(
         prog="mxpbench",
         description="Mixed-precision multigrid GMRES benchmark on a "
                     "27-point stencil problem.",
-        epilog="summary.speedup is penalized mixed GFLOP/s over double "
+        epilog="Every run smooths with one pre-, one post- and one "
+               "coarsest-level Gauss-Seidel sweep, and stops each validation "
+               f"solve after at most {VALIDATION_MAX_ITERS:,} iterations. "
+               "summary.speedup is penalized mixed GFLOP/s over double "
                "GFLOP/s, each computed from modelled flops over summed motif "
                "seconds; it is not a ratio of solve wall times.")
-    p.add_argument("--local-nx", type=int, default=16,
-                   help="local grid points in x per rank (default 16)")
-    p.add_argument("--local-ny", type=int, default=16,
-                   help="local grid points in y per rank (default 16)")
-    p.add_argument("--local-nz", type=int, default=16,
-                   help="local grid points in z per rank (default 16)")
-    p.add_argument("--ranks", type=int, default=1,
+    for axis in "xyz":
+        p.add_argument(f"--local-n{axis}", type=int,
+                       default=getattr(d, f"local_n{axis}"),
+                       help=f"local grid points in {axis} per rank "
+                            f"(default %(default)s)")
+    p.add_argument("--ranks", type=int, default=d.ranks,
                    help=f"number of simulated ranks, at most {MAX_RANKS} "
-                        f"(default 1)")
-    p.add_argument("--restart", type=int, default=30,
-                   help="GMRES restart length (default 30)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="relative residual target (default 1e-9)")
-    p.add_argument("--max-iters", type=int, default=300,
-                   help="iteration cap per timed solve (default 300)")
-    p.add_argument("--time-seconds", type=float, default=5.0,
-                   help="wall-time budget of the mixed phase (default 5)")
-    p.add_argument("--validation", choices=VALIDATION_MODES,
-                   default="standard", help="validation mode")
+                        f"(default %(default)s)")
+    p.add_argument("--restart", type=int, default=d.restart,
+                   help="GMRES restart length (default %(default)s)")
+    p.add_argument("--tol", type=float, default=d.tol,
+                   help="relative residual target (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=d.max_iters,
+                   help="iteration cap per timed solve (default %(default)s)")
+    p.add_argument("--time-seconds", type=float, default=d.time_seconds,
+                   help="wall-time budget of the mixed phase "
+                        "(default %(default)s)")
+    p.add_argument("--validation", dest="validation_mode",
+                   choices=VALIDATION_MODES, default=d.validation_mode,
+                   help="validation mode (default %(default)s)")
     p.add_argument("--coloring", choices=COLORING_STRATEGIES,
-                   default="greedy", help="coloring strategy")
-    p.add_argument("--seed", type=int, default=0,
+                   default=d.coloring,
+                   help="coloring strategy (default %(default)s)")
+    p.add_argument("--seed", type=int, default=d.seed,
                    help="seed for randomized coloring, at least 0 "
-                        "(default 0)")
+                        "(default %(default)s)")
     p.add_argument("--report-path", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     p.add_argument("--dump-matrix", default=None, metavar="PATH",
@@ -378,26 +384,22 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    cfg = BenchConfig(local_nx=args.local_nx, local_ny=args.local_ny,
-                      local_nz=args.local_nz, ranks=args.ranks,
-                      restart=args.restart, tol=args.tol,
-                      max_iters=args.max_iters,
-                      time_seconds=args.time_seconds,
-                      validation_mode=args.validation,
-                      coloring=args.coloring, seed=args.seed)
+    args = vars(_build_parser().parse_args(argv))
+    report_path = args.pop("report_path")
+    matrix_path = args.pop("dump_matrix")
+    cfg = BenchConfig(**args)
     try:
         cfg.validate()
-        if args.report_path:
-            _check_writable(args.report_path)
-        if args.dump_matrix:
-            with _writing(args.dump_matrix):
-                dump_matrix(cfg, args.dump_matrix)
+        if report_path:
+            _check_writable(report_path)
+        if matrix_path:
+            with _writing(matrix_path):
+                dump_matrix(cfg, matrix_path)
         report = run_benchmark(cfg)
         text = json.dumps(report, indent=2)
-        if args.report_path:
-            with _writing(args.report_path):
-                Path(args.report_path).write_text(text + "\n")
+        if report_path:
+            with _writing(report_path):
+                Path(report_path).write_text(text + "\n")
     except (ConfigError, CoarseningError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -408,11 +410,11 @@ def main(argv=None):
         print(f"protocol error: {exc}", file=sys.stderr)
         return 4
 
-    if args.report_path:
+    if report_path:
         s = report["summary"]
         print(f"penalized {s['penalized_gflops']:.3f} GFLOP/s "
               f"(penalty {s['penalty']:.3f}, speedup {s['speedup']:.2f}x); "
-              f"report written to {args.report_path}")
+              f"report written to {report_path}")
     else:
         print(text)
     return 0

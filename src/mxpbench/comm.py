@@ -5,18 +5,19 @@ message structure a neighborhood-and-allreduce MPI program would have, minus
 the network.  Each rank runs on one thread, ``rank-{r}``, which starts with
 its world and lives as long as it: ``RankWorld.run`` hands every thread one
 task and waits for all of them, and starts no thread.  Halo messages and
-collectives share the mailboxes: a collective posts its value to every other
-rank, then takes one value from each rank in ascending rank order.  Global
-sums are accumulated in that order on every rank, so a run with a fixed rank
-count is bitwise reproducible; sums across DIFFERENT rank counts are not
-promised to match (documented, not a bug).
+the one collective, ``all_reduce_sum``, share the mailboxes: the collective
+posts its value to every other rank, then takes one value from each rank in
+ascending rank order.  Global sums are accumulated in that order on every
+rank, so a run with a fixed rank count is bitwise reproducible; sums across
+DIFFERENT rank counts are not promised to match (documented, not a bug).
 
 Ranks drifting out of step is a programming error and surfaces as
 ProtocolError rather than a hang or silent corruption: every message carries
 its pair's sequence number and the kind of operation that sent it, so a rank
-that receives a different kind than it waits for raises at once; a rank left
-waiting for a message the others never send raises once ``_RECV_TIMEOUT``
-has passed.  A rank that fails posts an abort marker into every mailbox, so
+that receives a different kind than it waits for (a halo message where it
+waits for the collective's value, or the other way round) raises at once; a
+rank left waiting for a message the others never send raises once
+``_RECV_TIMEOUT`` has passed.  A rank that fails posts an abort marker into every mailbox, so
 a rank waiting for any message stops at once rather than at the timeout.
 """
 
@@ -93,9 +94,8 @@ class RankWorld:
             raise ProtocolError(
                 f"message reorder on pair ({src}->{dst}): got {seq}, expected {expected}")
         if got != kind:
-            raise ProtocolError(
-                f"ranks called different collectives: rank {dst} waited for "
-                f"{kind!r} from rank {src}, which sent {got!r}")
+            raise ProtocolError(f"rank {dst} waited for {kind!r} from rank "
+                                f"{src}, which sent {got!r}")
         return payload
 
     def send(self, src, dst, payload):
@@ -106,19 +106,16 @@ class RankWorld:
 
     # -- collectives ---------------------------------------------------------
 
-    def _collect(self, rank, kind, value):
-        """Post value to every other rank; return all ranks' values by rank."""
+    def all_reduce_sum(self, rank, value):
+        """Sum a scalar or array over all ranks, in ascending rank order."""
+        kind = "all_reduce_sum"
         if isinstance(value, np.ndarray):
             value = value.copy()   # the caller may reuse its array on return
         for dst in range(self.nranks):
             if dst != rank:
                 self._post(rank, dst, kind, value)
-        return [value if src == rank else self._take(rank, src, kind)
+        vals = [value if src == rank else self._take(rank, src, kind)
                 for src in range(self.nranks)]
-
-    def all_reduce_sum(self, rank, value):
-        """Sum a scalar or array over all ranks, in ascending rank order."""
-        vals = self._collect(rank, "all_reduce_sum", value)
         acc = vals[0]
         for v in vals[1:]:
             acc = acc + v
@@ -126,8 +123,8 @@ class RankWorld:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def run(self, fn, *args, **kwargs):
-        """Run ``fn(world, rank, *args, **kwargs)`` on every rank; return results.
+    def run(self, fn, *args):
+        """Run ``fn(world, rank, *args)`` on every rank; return results.
 
         Each rank runs on its own thread.  After all ranks finish, the first
         failure by rank id is re-raised, passing over ranks that only stopped
@@ -138,7 +135,7 @@ class RankWorld:
 
         def work(rank):
             try:
-                results[rank] = fn(self, rank, *args, **kwargs)
+                results[rank] = fn(self, rank, *args)
             except BaseException as exc:  # noqa: BLE001 - propagated below
                 errors[rank] = exc
                 if not isinstance(exc, _Aborted):   # markers already posted

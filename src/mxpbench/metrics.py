@@ -155,12 +155,3 @@ class Tally:
 
     def total_bytes(self):
         return sum(self.bytes.values())
-
-
-def sum_motif_dicts(dicts):
-    """Elementwise sum of per-motif dictionaries (e.g. flops across ranks)."""
-    out = {m: 0 for m in MOTIFS}
-    for d in dicts:
-        for m in MOTIFS:
-            out[m] += d[m]
-    return out

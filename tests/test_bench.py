@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_default_config_is_valid():
 
 
 def _override_id(overrides):
-    """``nu1=0`` for {"nu1": 0}: a case is named by its override, not its
+    """``seed=-1`` for {"seed": -1}: a case is named by its override, not its
     place, so adding or removing a case renames no other."""
     return ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
                     for k, v in overrides.items())
@@ -57,14 +58,10 @@ def _override_id(overrides):
     {"tol": 0.0},
     {"tol": -1e-9},
     {"max_iters": 0},
-    {"nd_cap": 0},
     {"time_seconds": -1.0},
     {"validation_mode": "turbo"},
     {"coloring": "rainbow"},
     {"seed": -1},                # np.random.default_rng refuses it
-    {"nu1": 0},
-    {"nu2": 0},
-    {"nu_c": 0},
     {"mg_levels": 0},
     {"mg_levels": -2000},        # checked before 2**(mg_levels-1) is formed
     {"tol": 1.0},
@@ -154,9 +151,10 @@ def test_validation_reports_raw_unclamped_ratio():
     assert v["ratio"] == v["n_d"] / v["n_ir"]
 
 
-def test_validation_fails_when_reference_cannot_converge():
+def test_validation_fails_when_reference_cannot_converge(monkeypatch):
+    monkeypatch.setattr(bench, "VALIDATION_MAX_ITERS", 2)
     with pytest.raises(ValidationError):
-        run_validation(_tiny_cfg(nd_cap=2))
+        run_validation(_tiny_cfg())
 
 
 def test_validation_solves_charge_their_tally(monkeypatch):
@@ -244,9 +242,12 @@ def test_mxp_phase_counts_low_precision_bytes():
 
 def test_phase_block_sums_bytes_over_ranks():
     def part(nbytes, seconds):
-        return {"mxp": {"flops": {m: 10 for m in MOTIFS},
-                        "bytes": {m: nbytes for m in MOTIFS},
-                        "seconds": {m: seconds for m in MOTIFS}}}
+        tally = Tally()
+        for m in MOTIFS:
+            tally.flops[m] = 10
+            tally.bytes[m] = nbytes
+            tally.seconds[m] = seconds
+        return {"mxp": tally}
 
     block = bench._phase_block([part(3_000, 2e-6), part(5_000, 9.0)], "mxp")
     for motif in MOTIFS:
@@ -369,6 +370,15 @@ def test_cli_protocol_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(bench, "run_benchmark", boom)
     assert main(_cli()) == 4
     assert "protocol error" in capsys.readouterr().err
+
+
+def test_cli_flags_are_the_config_fields_with_their_defaults():
+    # mg_levels has no flag: perfbench reads it and the tests vary it.
+    flags = vars(bench._build_parser().parse_args([]))
+    dests = set(flags) - {"report_path", "dump_matrix"}
+    assert dests == {f.name for f in fields(BenchConfig)} - {"mg_levels"}
+    for dest in dests:
+        assert flags[dest] == getattr(BenchConfig(), dest), dest
 
 
 def test_cli_unknown_flag_exits_two():

@@ -121,14 +121,16 @@ def test_run_propagates_worker_exception():
         RankWorld(4).run(worker)
 
 
-def test_mismatched_collectives_raise_on_every_rank():
+def test_three_ranks_mixing_halo_and_collective_traffic_all_raise():
     # Ranks 0 and 2 enter a collective while rank 1 exchanges halo messages
     # with both; each rank meets a message of the other kind and raises.
+    # Rank 1 sends to rank 2 first, so rank 0's abort marker, posted once it
+    # meets rank 1's message, cannot reach rank 2 ahead of that one.
     def worker(world, rank):
         try:
             if rank == 1:
-                world.send(1, 0, 1.0)
                 world.send(1, 2, 1.0)
+                world.send(1, 0, 1.0)
                 world.recv(1, 0)
             else:
                 world.all_reduce_sum(rank, 1.0)
@@ -137,7 +139,10 @@ def test_mismatched_collectives_raise_on_every_rank():
         return "returned"
 
     outs = RankWorld(3).run(worker)
-    assert all("different collectives" in o for o in outs)
+    assert outs == [
+        "rank 0 waited for 'all_reduce_sum' from rank 1, which sent 'send'",
+        "rank 1 waited for 'send' from rank 0, which sent 'all_reduce_sum'",
+        "rank 2 waited for 'all_reduce_sum' from rank 1, which sent 'send'"]
 
 
 def _current_thread(world, rank):
@@ -184,10 +189,11 @@ def test_halo_message_meeting_a_collective_raises_at_once(monkeypatch):
             return str(exc), time.perf_counter() - t0
         return "returned", 0.0
 
-    for msg, seconds in RankWorld(2).run(worker):
-        assert "'send'" in msg and "'all_reduce_sum'" in msg
-        assert "different collectives" in msg
-        assert seconds < 1.0
+    outs = RankWorld(2).run(worker)
+    assert [msg for msg, _ in outs] == [
+        "rank 0 waited for 'send' from rank 1, which sent 'all_reduce_sum'",
+        "rank 1 waited for 'all_reduce_sum' from rank 0, which sent 'send'"]
+    assert all(seconds < 1.0 for _, seconds in outs)
 
 
 def test_skipped_collective_times_out(monkeypatch):

@@ -16,7 +16,6 @@ from mxpbench.metrics import (
     gflops,
     kernel_motif,
     penalty_factor,
-    sum_motif_dicts,
 )
 from mxpbench.multigrid import build_hierarchy
 from mxpbench.problem import generate_matrix, generate_rhs
@@ -253,15 +252,3 @@ def test_desk_solve_accounting_is_frozen():
         assert res.converged
         assert [t.flops[m] for m in MOTIFS] == flops, mode
         assert [t.bytes[m] for m in MOTIFS] == nbytes, mode
-
-
-def test_sum_motif_dicts():
-    a = {m: 0 for m in MOTIFS}
-    b = {m: 0 for m in MOTIFS}
-    a["SpMV"] = 5
-    b["SpMV"] = 7
-    b["GS"] = 2
-    out = sum_motif_dicts([a, b])
-    assert out["SpMV"] == 12
-    assert out["GS"] == 2
-    assert out["Ortho"] == 0
