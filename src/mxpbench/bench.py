@@ -9,15 +9,18 @@ Runs three sequential phases on the generated stencil system:
    the wall-time budget is spent (always at least one repetition);
 3. double     -- the same number of plain double-precision solves.
 
+Each rank builds its hierarchy once and, in one call, runs phases 2 and 3
+on it, after phase 1 when that solves the same problem (one rank, or
+``fullscale``); standard validation on more ranks runs first, on one rank.
 The report carries per-motif seconds / flops / GFLOP/s for both timed
 phases plus a summary whose mixed-precision total is penalized by
 min(1, n_d / n_ir), the iteration count of every timed solve, and the
 compiler flags and host CPU the row kernels were built for.
 
 ``BenchConfig`` holds only what a run can change; the command line takes
-each of its defaults from ``BenchConfig()``.  Fixed for every run: one pre-,
-post- and coarsest-level Gauss-Seidel sweep, and at most
-``VALIDATION_MAX_ITERS`` iterations per validation solve.
+each default but ``mg_levels``, which has no flag, from ``BenchConfig()``.
+Fixed for every run: one pre-, post- and coarsest-level Gauss-Seidel sweep,
+and at most ``VALIDATION_MAX_ITERS`` iterations per validation solve.
 """
 
 from __future__ import annotations
@@ -136,12 +139,15 @@ def _solve(cfg, hier, b, mode, tol, max_iters, tally):
                        tally=tally)
 
 
-# -- phase 1: validation ------------------------------------------------------
+# -- the three phases, on one rank --------------------------------------------
 
 
-def _validation_worker(world, rank, cfg, nranks):
-    state = _build_state(cfg, nranks, world, rank)
-    hier, b = state
+def _validation_solves(cfg, hier, b):
+    """Phase 1 on one rank's hierarchy: the report's ``validation`` block.
+
+    ``restarts`` and ``boundary_pairs`` (recurrence and true residual norm
+    at each restart) describe the mixed solve.
+    """
     dres = _solve(cfg, hier, b, "double", cfg.tol, VALIDATION_MAX_ITERS,
                   Tally())
     if cfg.validation_mode == "standard":
@@ -157,59 +163,29 @@ def _validation_worker(world, rank, cfg, nranks):
         target = dres.relres if not dres.converged else cfg.tol
     mres = _solve(cfg, hier, b, "mixed", target, VALIDATION_MAX_ITERS,
                   Tally())
-    return dres, mres, state
+    return {"mode": cfg.validation_mode,
+            "n_d": dres.iterations,
+            "n_ir": mres.iterations,
+            "ratio": dres.iterations / mres.iterations,
+            "residual": dres.relres,
+            "restarts": mres.restarts,
+            "boundary_pairs": [list(p) for p in mres.boundary_pairs]}
 
 
-def _validate(cfg, world=None):
-    """Phase 1, and the per-rank states it built when it ran on as many
-    ranks as the timed phases (None otherwise)."""
-    cfg.validate()
-    nranks = 1 if cfg.validation_mode == "standard" else cfg.ranks
-    if nranks == 1:
-        outs = [_validation_worker(None, 0, cfg, nranks)]
-    else:
-        world = world or RankWorld(nranks)
-        outs = world.run(_validation_worker, cfg, nranks)
-    dres, mres, _ = outs[0]
-    val = {"mode": cfg.validation_mode,
-           "n_d": dres.iterations,
-           "n_ir": mres.iterations,
-           "ratio": dres.iterations / mres.iterations,
-           "residual": dres.relres,
-           "restarts": mres.restarts,
-           "boundary_pairs": [list(p) for p in mres.boundary_pairs]}
-    states = [o[2] for o in outs] if nranks == cfg.ranks else None
-    return val, states
-
-
-def run_validation(cfg):
-    """Phase 1: measure n_d and n_ir on the validation problem.
-
-    ``standard`` solves the per-rank problem on one rank; ``fullscale``
-    uses all ranks and the full problem.  ``restarts`` and
-    ``boundary_pairs`` (recurrence and true residual norm at each restart)
-    describe the mixed solve.
-    """
-    return _validate(cfg)[0]
-
-
-# -- phases 2 and 3: timed solves ---------------------------------------------
-
-
-def _bench_worker(world, rank, cfg, states=None):
-    hier, b = (states[rank] if states is not None
-               else _build_state(cfg, cfg.ranks, world, rank))
+def _rank_run(world, rank, cfg, val):
+    """One rank's run: build its hierarchy, run phase 1 on it unless ``val``
+    already holds phase 1's result, then phases 2 and 3."""
+    hier, b = _build_state(cfg, cfg.ranks, world, rank)
+    if val is None:
+        val = _validation_solves(cfg, hier, b)
     tally_mxp = Tally()
     tally_dbl = Tally()
     iters_mxp = []
-    iters_dbl = []
 
     t0 = time.perf_counter()
-    reps = 0
     while True:
         res = _solve(cfg, hier, b, "mixed", cfg.tol, cfg.max_iters, tally_mxp)
         iters_mxp.append(res.iterations)
-        reps += 1
         # Rank 0 owns the clock; its verdict is broadcast so every rank
         # runs the same number of repetitions.
         elapsed = time.perf_counter() - t0
@@ -217,12 +193,11 @@ def _bench_worker(world, rank, cfg, states=None):
         if reduce_sum(world, rank, flag) == 0.0:
             break
 
-    for _ in range(reps):
-        res = _solve(cfg, hier, b, "double", cfg.tol, cfg.max_iters,
-                     tally_dbl)
-        iters_dbl.append(res.iterations)
+    iters_dbl = [_solve(cfg, hier, b, "double", cfg.tol, cfg.max_iters,
+                        tally_dbl).iterations
+                 for _ in iters_mxp]
 
-    return {"reps": reps,
+    return {"validation": val,
             "iters_mxp": iters_mxp,
             "iters_dbl": iters_dbl,
             "mxp": tally_mxp,
@@ -246,7 +221,8 @@ def _phase_block(parts, phase):
     return block
 
 
-def _assemble_report(cfg, val, parts):
+def _assemble_report(cfg, parts):
+    val = parts[0]["validation"]
     mxp = _phase_block(parts, "mxp")
     dbl = _phase_block(parts, "double")
 
@@ -270,7 +246,7 @@ def _assemble_report(cfg, val, parts):
                "penalized_gflops": penalized,
                "speedup": penalized / dbl_total if dbl_total > 0 else 0.0,
                "motif_speedup": motif_speedup,
-               "reps": parts[0]["reps"],
+               "reps": len(parts[0]["iters_mxp"]),
                "iterations": {"mxp": parts[0]["iters_mxp"],
                               "double": parts[0]["iters_dbl"]}}
 
@@ -287,18 +263,20 @@ def _assemble_report(cfg, val, parts):
 def run_benchmark(cfg):
     """Run all three phases and return the report dictionary.
 
-    When validation solves the timed phases' per-rank problem on the same
-    world, the timed phases reuse its hierarchies instead of building them
-    again.
+    Each rank builds its hierarchy once and runs the timed phases on it.
+    Validation runs on the same hierarchies when it solves the same problem
+    (one rank, or ``fullscale``); standard validation on more ranks first
+    solves the per-rank problem on one rank.
     """
     cfg.validate()
-    world = RankWorld(cfg.ranks) if cfg.ranks > 1 else None
-    val, states = _validate(cfg, world)
-    if world is None:
-        parts = [_bench_worker(None, 0, cfg, states)]
+    val = None
+    if cfg.ranks > 1 and cfg.validation_mode == "standard":
+        val = _validation_solves(cfg, *_build_state(cfg, 1, None, 0))
+    if cfg.ranks == 1:
+        parts = [_rank_run(None, 0, cfg, val)]
     else:
-        parts = world.run(_bench_worker, cfg, states)
-    return _assemble_report(cfg, val, parts)
+        parts = RankWorld(cfg.ranks).run(_rank_run, cfg, val)
+    return _assemble_report(cfg, parts)
 
 
 # -- matrix dump --------------------------------------------------------------
@@ -422,7 +400,3 @@ def main(argv=None):
 
 def console_main():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -288,7 +288,7 @@ def gmres_solve(A_hi, A_lo, precond, b, x0, mode="double", tol=1e-9,
     while True:
         r, rho = true_residual()
         relres = rho / rho0
-        if cycles > 0 and last_rec is not None:
+        if last_rec is not None:
             pairs.append((last_rec, rho))
         if relres < tol:
             converged = True

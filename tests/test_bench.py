@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from mxpbench.bench import (
     ValidationError,
     main,
     run_benchmark,
-    run_validation,
 )
 from mxpbench.comm import ProtocolError, RankWorld
 from mxpbench.krylov import gmres_solve
@@ -84,9 +87,24 @@ def test_shallow_hierarchy_relaxes_divisibility():
 # -- validation phase ----------------------------------------------------------
 
 
+def _phase_one(cfg):
+    """Phase 1 on a problem of its own: standard mode solves the per-rank
+    problem on one rank, fullscale the whole problem on every rank."""
+    cfg.validate()
+    nranks = 1 if cfg.validation_mode == "standard" else cfg.ranks
+
+    def worker(world, rank):
+        return bench._validation_solves(
+            cfg, *bench._build_state(cfg, nranks, world, rank))
+
+    if nranks == 1:
+        return worker(None, 0)
+    return RankWorld(nranks).run(worker)[0]
+
+
 def test_standard_validation_iteration_counts():
-    v = run_validation(_tiny_cfg(local_nx=4, local_ny=4, local_nz=4,
-                                 mg_levels=3))
+    v = _phase_one(_tiny_cfg(local_nx=4, local_ny=4, local_nz=4,
+                             mg_levels=3))
     assert v["mode"] == "standard"
     assert v["n_d"] == 6
     assert v["n_ir"] == 6
@@ -95,7 +113,7 @@ def test_standard_validation_iteration_counts():
 
 
 def test_fullscale_validation_iteration_counts():
-    v = run_validation(_tiny_cfg(validation_mode="fullscale"))
+    v = _phase_one(_tiny_cfg(validation_mode="fullscale"))
     assert v["mode"] == "fullscale"
     assert v["n_d"] == 10
     assert v["n_ir"] == 10
@@ -147,14 +165,14 @@ def test_solutions_are_bitwise_the_frozen_ones(ranks, local, levels):
 
 
 def test_validation_reports_raw_unclamped_ratio():
-    v = run_validation(_tiny_cfg())
+    v = _phase_one(_tiny_cfg())
     assert v["ratio"] == v["n_d"] / v["n_ir"]
 
 
 def test_validation_fails_when_reference_cannot_converge(monkeypatch):
     monkeypatch.setattr(bench, "VALIDATION_MAX_ITERS", 2)
     with pytest.raises(ValidationError):
-        run_validation(_tiny_cfg())
+        _phase_one(_tiny_cfg())
 
 
 def test_validation_solves_charge_their_tally(monkeypatch):
@@ -166,7 +184,7 @@ def test_validation_solves_charge_their_tally(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bench, "_solve", capturing)
-    run_validation(_tiny_cfg())
+    _phase_one(_tiny_cfg())
     assert len(tallies) == 2            # the double and the mixed solve
     for tally in tallies:
         assert tally.flops["GS"] > 0
@@ -259,7 +277,7 @@ def test_phase_block_sums_bytes_over_ranks():
 
 
 def test_validation_reports_mixed_restart_pairs():
-    v = run_validation(_tiny_cfg())
+    v = _phase_one(_tiny_cfg())
     assert v["restarts"] >= 1
     assert len(v["boundary_pairs"]) == v["restarts"]
     for rec_norm, true_norm in v["boundary_pairs"]:
@@ -282,8 +300,11 @@ def test_hierarchy_built_once_when_phases_share_a_problem(monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bench, "build_hierarchy", counting)
-    run_benchmark(_tiny_cfg(**overrides))
+    cfg = _tiny_cfg(**overrides)
+    report = run_benchmark(cfg)
     assert len(calls) == builds
+    # Validation on the shared hierarchies gives the standalone numbers.
+    assert report["validation"] == _phase_one(cfg)
 
 
 # -- command-line interface ----------------------------------------------------
@@ -394,6 +415,17 @@ def test_cli_help_says_speedup_is_not_a_wall_time_ratio(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "summary.speedup" in text
     assert "not a ratio of solve wall times" in text
+
+
+def test_python_m_mxpbench_runs_the_cli():
+    # -W error: a runpy warning about a module already in sys.modules, as
+    # ``python -m mxpbench.bench`` gives, would exit 1.
+    src = str(Path(bench.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "mxpbench",
+                          "--help"], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: mxpbench")
 
 
 def test_cli_dump_matrix(tmp_path):

@@ -198,6 +198,27 @@ def test_zero_rhs_returns_immediately():
     assert not x0.any()
 
 
+@pytest.mark.parametrize("mode", ["double", "mixed"])
+def test_zero_preconditioner_breaks_down_at_once(mode):
+    # A zero correction gives a zero Krylov direction, so the first Givens
+    # rotation has no pivot: the solve stops after one cycle with x = 0.
+    calls = []
+
+    def zero(r):
+        calls.append(r)
+        if len(calls) > 1:
+            raise AssertionError("the solve went on after breaking down")
+        return np.zeros_like(r)
+
+    x0 = np.zeros(64)
+    _, res = _solve(4, 4, 4, mode, precond=zero, x0=x0)
+    assert res.iterations == 0
+    assert res.restarts == 1
+    assert res.converged is False
+    assert res.relres == 1.0
+    assert not x0.any()
+
+
 def test_exact_initial_guess_returns_immediately():
     gp = GlobalProblem.from_local(2, 2, 2, 1)
     A = with_sets(generate_matrix(gp.domain(0)))
